@@ -107,7 +107,6 @@ fn sweep(scale: Scale, out_dir: &Path) -> Vec<Measurement> {
             &plan,
             &values,
             &fuseme_exec::Strategy::Cuboid { pqr },
-            &model,
         );
         let (status, data, secs) = match result {
             Ok(_) => (

@@ -261,7 +261,7 @@ fn run_unit(
         let comm_attempt = cluster.comm();
         let flops_attempt = cluster.ledger().flops_total();
         let waste_attempt = cluster.fault_stats();
-        match execute_fused(cluster, dag, plan, values, strategy, &config.model) {
+        match execute_fused(cluster, dag, plan, values, strategy) {
             Ok(out) => return Ok(out),
             Err(SimError::ExecutorLost { stage }) if reruns < max_reruns => {
                 reruns += 1;

