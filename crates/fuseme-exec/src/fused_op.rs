@@ -28,7 +28,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::ops::Range;
 use std::sync::Arc;
 
-use fuseme_fusion::cost::{estimate, num_ops};
+use fuseme_fusion::cost::estimate;
 use fuseme_fusion::optimizer::Pqr;
 use fuseme_fusion::plan::{mm_dims, PartialPlan};
 use fuseme_fusion::space::SpaceTree;
@@ -37,7 +37,7 @@ use fuseme_plan::{NodeId, OpKind, QueryDag};
 use fuseme_sim::executor::run_stage;
 use fuseme_sim::{Cluster, Phase, SimError, TaskWork};
 
-use crate::kernel::{KernelCtx, LocalStore};
+use crate::kernel::{KernelCtx, LocalStore, PlanRoles};
 
 /// Materialized values available to an operator: input leaves plus outputs
 /// of earlier execution units.
@@ -309,6 +309,7 @@ pub fn execute_fused(
         .unwrap_or(0);
 
     // ----- stage 1 -------------------------------------------------------------
+    let roles = &PlanRoles::new(dag, plan);
     let mut work: Vec<TaskWork<'_, TaskOut>> = Vec::new();
     for (task, store) in layout.tasks.iter().zip(stores.iter()) {
         // Replica-cache hits ship nothing: their share of the store arrived
@@ -326,7 +327,6 @@ pub fn execute_fused(
         } else {
             held + out_share
         };
-        let ops = &plan.ops;
         let out_blocks = task.out_blocks.clone();
         let k_range = task.k_range.clone();
         work.push(TaskWork {
@@ -335,7 +335,7 @@ pub fn execute_fused(
             mem_bytes: mem,
             flops: flops_per_task,
             job: Box::new(move || {
-                let mut ctx = KernelCtx::new(dag, ops, main_mm, k_range, store);
+                let mut ctx = KernelCtx::new(dag, roles, k_range, store);
                 if two_stage {
                     let Some(mm) = main_mm else {
                         return Err(SimError::Task(
@@ -392,7 +392,6 @@ pub fn execute_fused(
             let store = &stores[task.id];
             let recv = agg_bytes.get(&task.group).copied().unwrap_or(0);
             let out_blocks = task.out_blocks.clone();
-            let ops = &plan.ops;
             let group = task.group;
             // For a multiplication-rooted plan the output *is* the
             // aggregated partial — counting both would double-charge.
@@ -410,7 +409,7 @@ pub fn execute_fused(
                 flops: flops_per_task,
                 job: Box::new(move || {
                     let mm_vals = grouped.get(&group);
-                    let base = KernelCtx::new(dag, ops, main_mm, 0..0, store);
+                    let base = KernelCtx::new(dag, roles, 0..0, store);
                     let mut ctx = match mm_vals {
                         Some(vals) => base.with_mm_override(vals),
                         None => base,
@@ -1093,11 +1092,6 @@ fn agg_binop(op: AggOp) -> BinOp {
     }
 }
 
-/// Analytic flops of the plan's operators, unreplicated (test helper).
-pub fn plain_flops(dag: &QueryDag, plan: &PartialPlan) -> u64 {
-    plan.ops.iter().map(|&op| num_ops(dag, op)).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1432,6 +1426,89 @@ mod tests {
         // Communication: each input shipped exactly once (co-partitioned).
         let total: u64 = values.values().map(|m| m.actual_size_bytes()).sum();
         assert_eq!(cluster.comm().consolidation_bytes, total);
+    }
+
+    fn singleton(op: NodeId) -> PartialPlan {
+        PartialPlan::new(BTreeSet::from([op]), op)
+    }
+
+    #[test]
+    fn singleton_cuboid_mm_matches_reference() {
+        // DistME's CuboidMM: one multiplication under the optimizer's
+        // (P,Q,R).
+        let bs = 5;
+        let a = gen::dense_uniform(30, 20, bs, -1.0, 1.0, 1).unwrap();
+        let b_m = gen::sparse_uniform(20, 25, bs, 0.3, -1.0, 1.0, 2).unwrap();
+        let expected = a.matmul(&b_m).unwrap();
+        let mut b = DagBuilder::new();
+        let ae = b.input("A", *a.meta());
+        let be = b.input("B", *b_m.meta());
+        let mm = b.matmul(ae, be);
+        let dag = b.finish(vec![mm]);
+        let values: ValueMap = HashMap::from([(ae.id(), Arc::new(a)), (be.id(), Arc::new(b_m))]);
+        let cluster = Cluster::new(ClusterConfig::test_small());
+        let c = cluster.config();
+        let model = fuseme_fusion::CostModel {
+            nodes: c.nodes,
+            tasks_per_node: c.tasks_per_node,
+            mem_per_task: c.mem_per_task,
+            net_bandwidth: c.net_bandwidth,
+            compute_bandwidth: c.compute_bandwidth,
+        };
+        let plan = singleton(mm.id());
+        let tree = SpaceTree::build(&dag, &plan);
+        let pqr = fuseme_fusion::optimizer::optimize(&dag, &plan, &tree, &model).pqr;
+        let out = execute_fused(&cluster, &dag, &plan, &values, &Strategy::Cuboid { pqr }).unwrap();
+        assert!(out.approx_eq(&expected, 1e-9));
+        assert!(pqr.tasks() >= 1);
+    }
+
+    #[test]
+    fn singleton_transpose_and_agg() {
+        let bs = 4;
+        let x = gen::dense_uniform(12, 8, bs, -2.0, 2.0, 3).unwrap();
+        let mut b = DagBuilder::new();
+        let xe = b.input("X", *x.meta());
+        let t = b.transpose(xe);
+        let cs = b.col_agg(xe, AggOp::Max);
+        let dag = b.finish(vec![t, cs]);
+        let values: ValueMap = HashMap::from([(xe.id(), Arc::new(x.clone()))]);
+        let cluster = Cluster::new(ClusterConfig::test_small());
+        let one = Strategy::Cuboid {
+            pqr: Pqr { p: 1, q: 1, r: 1 },
+        };
+        let tr = execute_fused(&cluster, &dag, &singleton(t.id()), &values, &one).unwrap();
+        assert!(tr.approx_eq(&x.transpose().unwrap(), 1e-12));
+        let mx = execute_fused(&cluster, &dag, &singleton(cs.id()), &values, &one).unwrap();
+        assert!(mx.approx_eq(&x.col_agg(AggOp::Max).unwrap(), 1e-12));
+    }
+
+    #[test]
+    fn singleton_elementwise_chain_matches() {
+        let bs = 4;
+        let x = gen::dense_uniform(8, 8, bs, 0.5, 1.5, 9).unwrap();
+        let y = gen::dense_uniform(8, 8, bs, 0.5, 1.5, 10).unwrap();
+        let mut b = DagBuilder::new();
+        let xe = b.input("X", *x.meta());
+        let ye = b.input("Y", *y.meta());
+        let mul = b.binary(xe, ye, BinOp::Mul);
+        let sq = b.unary(mul, UnaryOp::Sqrt);
+        let dag = b.finish(vec![sq]);
+        let cluster = Cluster::new(ClusterConfig::test_small());
+        let one = Strategy::Cuboid {
+            pqr: Pqr { p: 1, q: 1, r: 1 },
+        };
+        let mut values: ValueMap = HashMap::from([
+            (xe.id(), Arc::new(x.clone())),
+            (ye.id(), Arc::new(y.clone())),
+        ]);
+        let mid = execute_fused(&cluster, &dag, &singleton(mul.id()), &values, &one).unwrap();
+        values.insert(mul.id(), mid);
+        let out = execute_fused(&cluster, &dag, &singleton(sq.id()), &values, &one).unwrap();
+        let expected = x.zip(&y, BinOp::Mul).unwrap().map(UnaryOp::Sqrt).unwrap();
+        assert!(out.approx_eq(&expected, 1e-12));
+        // Unfused execution moved the intermediate across the wire.
+        assert!(cluster.comm().consolidation_bytes > x.actual_size_bytes());
     }
 
     #[test]

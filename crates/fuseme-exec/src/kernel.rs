@@ -18,6 +18,19 @@
 //!   non-zero at all; empty-gated blocks are skipped entirely, which is the
 //!   block-level form of the paper's sparsity exploitation.
 //!
+//! How the recursion treats each node is fixed once per plan by its
+//! [`PlanRoles`], shared by every task of the operator:
+//!
+//! * an *external* node (input leaf or materialized intermediate) is read
+//!   straight from the task's [`LocalStore`] and never copied or memoized;
+//! * a *scalar* literal is folded into its consumer;
+//! * a member *operator* is memoized only when its value at one coordinate
+//!   is read more than once: it is a multiplication operand, or it feeds
+//!   two or more in-plan input slots (a diamond — the paper's Row template
+//!   "scan X once, use twice"). Every other operator is computed exactly
+//!   once per coordinate and dropped by its consumer, so an
+//!   aggregation-rooted plan never holds its intermediate tile.
+//!
 //! The main matrix multiplication sums over the task's `k`-slice only; with
 //! `R > 1` that produces a *partial* result which the aggregation stage
 //! combines before the `O`-space operators run (see `fused_op`). Nested
@@ -25,19 +38,49 @@
 //! subspaces are confined, so the needed blocks were all routed.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 use std::sync::Arc;
 
+use fuseme_fusion::PartialPlan;
 use fuseme_matrix::{Block, DenseBlock};
 use fuseme_plan::{NodeId, OpKind, QueryDag};
 use fuseme_sim::SimError;
+
+/// Multiply-rotate hasher for the store's and the memo's keys. They are
+/// engine-internal node ids and block coordinates, so they need no
+/// flooding resistance, and SipHash dominated the per-block lookups.
+#[derive(Default, Clone, Copy)]
+struct CoordHasher(u64);
+
+impl Hasher for CoordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type CoordMap<K, V> = HashMap<K, V, BuildHasherDefault<CoordHasher>>;
 
 /// A task's local collection of input blocks, keyed by the plan node that
 /// produced them (input leaf or materialized intermediate) and grid
 /// coordinate.
 #[derive(Debug, Default, Clone)]
 pub struct LocalStore {
-    blocks: HashMap<(NodeId, (usize, usize)), Arc<Block>>,
+    blocks: CoordMap<(NodeId, (usize, usize)), Arc<Block>>,
 }
 
 impl LocalStore {
@@ -87,20 +130,80 @@ impl LocalStore {
     }
 }
 
+/// How a kernel obtains the value of one plan node (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Role {
+    /// Produced outside the plan: read from the task's store.
+    External,
+    /// A scalar literal, folded into its consumer.
+    Scalar(f64),
+    /// A member operator; `memo` when its value at one coordinate is read
+    /// more than once per task.
+    Op {
+        /// Keep computed blocks for the task's lifetime.
+        memo: bool,
+    },
+}
+
+/// The role of every node for one fused plan, plus the plan's main
+/// multiplication. Built once per operator and shared by all its tasks.
+#[derive(Debug, Clone)]
+pub struct PlanRoles {
+    roles: Vec<Role>,
+    main_mm: Option<NodeId>,
+}
+
+impl PlanRoles {
+    /// Assigns roles for `plan`: members are operators, memoized when an
+    /// in-plan multiplication reads them or when they feed two or more
+    /// in-plan input slots.
+    pub fn new(dag: &QueryDag, plan: &PartialPlan) -> Self {
+        let mut roles: Vec<Role> = dag
+            .nodes()
+            .iter()
+            .map(|n| match n.kind {
+                OpKind::Scalar(v) => Role::Scalar(v),
+                _ => Role::External,
+            })
+            .collect();
+        for &op in &plan.ops {
+            roles[op] = Role::Op { memo: false };
+        }
+        let mut slots = vec![0usize; roles.len()];
+        for &op in &plan.ops {
+            let n = dag.node(op);
+            for &input in &n.inputs {
+                if let Role::Op { memo } = &mut roles[input] {
+                    slots[input] += 1;
+                    *memo |= n.kind.is_matmul() || slots[input] > 1;
+                }
+            }
+        }
+        PlanRoles {
+            roles,
+            main_mm: plan.main_matmul(dag),
+        }
+    }
+
+    /// The role of `node`.
+    pub(crate) fn role(&self, node: NodeId) -> Role {
+        self.roles[node]
+    }
+}
+
 /// Evaluation context for one task's kernels.
 pub struct KernelCtx<'a> {
     dag: &'a QueryDag,
-    /// Operators belonging to the fused plan (kernel recursion stays inside;
-    /// everything else must come from the store).
-    ops: &'a BTreeSet<NodeId>,
-    /// The plan's main matrix multiplication, if any.
-    main_mm: Option<NodeId>,
+    /// How each node's value is obtained (kernel recursion stays inside the
+    /// plan's operators; everything else comes from the store).
+    roles: &'a PlanRoles,
     /// The task's k-slice for the main multiplication (block indices).
     k_range: Range<usize>,
     store: &'a LocalStore,
     /// Stage-2 override: fully aggregated main-multiplication blocks.
     mm_override: Option<&'a HashMap<(usize, usize), Arc<Block>>>,
-    memo: HashMap<(NodeId, usize, usize), Arc<Block>>,
+    /// Values of operators whose role says `memo`.
+    memo: CoordMap<(NodeId, usize, usize), Arc<Block>>,
 }
 
 impl<'a> KernelCtx<'a> {
@@ -109,19 +212,17 @@ impl<'a> KernelCtx<'a> {
     /// the full range when `R = 1` or there is no multiplication).
     pub fn new(
         dag: &'a QueryDag,
-        ops: &'a BTreeSet<NodeId>,
-        main_mm: Option<NodeId>,
+        roles: &'a PlanRoles,
         k_range: Range<usize>,
         store: &'a LocalStore,
     ) -> Self {
         KernelCtx {
             dag,
-            ops,
-            main_mm,
+            roles,
             k_range,
             store,
             mm_override: None,
-            memo: HashMap::new(),
+            memo: CoordMap::default(),
         }
     }
 
@@ -139,16 +240,23 @@ impl<'a> KernelCtx<'a> {
     /// Evaluates plan node `node` at block coordinate `(bi, bj)`.
     ///
     /// Returns the block value; absent sparse inputs read as zero blocks.
-    /// Results are memoized per task, so diamond-shaped plans (a node
-    /// consumed twice inside the fusion) compute once — the paper's Row
-    /// template "scan X once, use twice" falls out of this.
+    /// External values come straight from the store. Operators are
+    /// memoized only when their role says so (multiplication operands and
+    /// diamonds); every other operator is computed once per coordinate by
+    /// its single consumer and not kept.
     pub fn eval(&mut self, node: NodeId, bi: usize, bj: usize) -> Result<Arc<Block>, SimError> {
-        if let Some(hit) = self.memo.get(&(node, bi, bj)) {
-            return Ok(Arc::clone(hit));
+        match self.roles.role(node) {
+            Role::External | Role::Scalar(_) => Ok(self.fetch_external(node, bi, bj)),
+            Role::Op { memo: false } => self.compute(node, bi, bj),
+            Role::Op { memo: true } => {
+                if let Some(hit) = self.memo.get(&(node, bi, bj)) {
+                    return Ok(Arc::clone(hit));
+                }
+                let value = self.compute(node, bi, bj)?;
+                self.memo.insert((node, bi, bj), Arc::clone(&value));
+                Ok(value)
+            }
         }
-        let value = self.eval_uncached(node, bi, bj)?;
-        self.memo.insert((node, bi, bj), Arc::clone(&value));
-        Ok(value)
     }
 
     fn fetch_external(&self, node: NodeId, bi: usize, bj: usize) -> Arc<Block> {
@@ -161,18 +269,21 @@ impl<'a> KernelCtx<'a> {
         }
     }
 
-    fn eval_uncached(
-        &mut self,
-        node: NodeId,
-        bi: usize,
-        bj: usize,
-    ) -> Result<Arc<Block>, SimError> {
-        // Values produced outside the plan come from the local store.
-        if !self.ops.contains(&node) {
-            return Ok(self.fetch_external(node, bi, bj));
+    /// One support probe of a multiplication operand: `None` when it is
+    /// provably zero at `(bi, bj)`, else `Some(stored block)` for an
+    /// external operand (one store lookup both gates and supplies it) or
+    /// `Some(None)` for a member operator the caller still evaluates.
+    fn operand(&self, node: NodeId, bi: usize, bj: usize) -> Option<Option<Arc<Block>>> {
+        match self.roles.role(node) {
+            Role::Op { .. } => self.has_support(node, bi, bj).then_some(None),
+            _ => self.store.get(node, (bi, bj)).map(|b| Some(Arc::clone(b))),
         }
+    }
+
+    /// Computes member operator `node` at `(bi, bj)`, without the memo.
+    fn compute(&mut self, node: NodeId, bi: usize, bj: usize) -> Result<Arc<Block>, SimError> {
         // Stage-2: the main multiplication's aggregated value is injected.
-        if Some(node) == self.main_mm {
+        if Some(node) == self.roles.main_mm {
             if let Some(vals) = self.mm_override {
                 return Ok(match vals.get(&(bi, bj)) {
                     Some(b) => Arc::clone(b),
@@ -227,10 +338,15 @@ impl<'a> KernelCtx<'a> {
                 // sparse blocks contribute nothing).
                 let mut terms = Vec::new();
                 for k in ks {
-                    if !self.has_support(l_id, bi, k) || !self.has_support(r_id, k, bj) {
+                    let Some(l) = self.operand(l_id, bi, k) else {
                         continue;
-                    }
-                    terms.push((self.eval(l_id, bi, k)?, self.eval(r_id, k, bj)?));
+                    };
+                    let Some(r) = self.operand(r_id, k, bj) else {
+                        continue;
+                    };
+                    let l = l.map_or_else(|| self.eval(l_id, bi, k), Ok)?;
+                    let r = r.map_or_else(|| self.eval(r_id, k, bj), Ok)?;
+                    terms.push((l, r));
                 }
                 match terms.as_slice() {
                     [] => Block::zero(rows, cols),
@@ -262,7 +378,7 @@ impl<'a> KernelCtx<'a> {
     /// The k-slice a multiplication sums over: the task slice for the main
     /// multiplication, the full common dimension for nested ones.
     fn mm_k_range(&self, mm: NodeId) -> Range<usize> {
-        if Some(mm) == self.main_mm {
+        if Some(mm) == self.roles.main_mm {
             self.k_range.clone()
         } else {
             let left = self.dag.node(self.dag.node(mm).inputs[0]).meta;
@@ -271,8 +387,8 @@ impl<'a> KernelCtx<'a> {
     }
 
     fn scalar_of(&self, node: NodeId) -> Option<f64> {
-        match self.dag.node(node).kind {
-            OpKind::Scalar(v) => Some(v),
+        match self.roles.role(node) {
+            Role::Scalar(v) => Some(v),
             _ => None,
         }
     }
@@ -282,7 +398,7 @@ impl<'a> KernelCtx<'a> {
     /// blocks and zero-propagation rules. This powers block-level sparsity
     /// exploitation — kernels for unsupported output blocks never run.
     pub fn has_support(&self, node: NodeId, bi: usize, bj: usize) -> bool {
-        if !self.ops.contains(&node) {
+        if !matches!(self.roles.role(node), Role::Op { .. }) {
             return self.store.get(node, (bi, bj)).is_some();
         }
         let n = self.dag.node(node);
@@ -314,7 +430,7 @@ impl<'a> KernelCtx<'a> {
             }
             OpKind::Transpose => self.has_support(n.inputs[0], bj, bi),
             OpKind::MatMul => {
-                if self.mm_override.is_some() && Some(node) == self.main_mm {
+                if self.mm_override.is_some() && Some(node) == self.roles.main_mm {
                     return true;
                 }
                 let (l_id, r_id) = (n.inputs[0], n.inputs[1]);
@@ -352,13 +468,15 @@ impl<'a> KernelCtx<'a> {
         if !visited.insert((node, bi, bj)) {
             return;
         }
-        if !self.ops.contains(&node) {
-            if self.scalar_of(node).is_none() {
+        match self.roles.role(node) {
+            Role::Op { .. } => {}
+            Role::External => {
                 out.insert((node, (bi, bj)));
+                return;
             }
-            return;
+            Role::Scalar(_) => return,
         }
-        if self.mm_override.is_some() && Some(node) == self.main_mm {
+        if self.mm_override.is_some() && Some(node) == self.roles.main_mm {
             return; // provided by the aggregation stage
         }
         let n = self.dag.node(node);
@@ -367,9 +485,7 @@ impl<'a> KernelCtx<'a> {
             OpKind::Unary(_) => self.needs_inner(n.inputs[0], bi, bj, out, visited),
             OpKind::Binary(_) => {
                 for &input in &n.inputs {
-                    if self.scalar_of(input).is_none() {
-                        self.needs_inner(input, bi, bj, out, visited);
-                    }
+                    self.needs_inner(input, bi, bj, out, visited);
                 }
             }
             OpKind::Transpose => self.needs_inner(n.inputs[0], bj, bi, out, visited),
@@ -390,20 +506,26 @@ impl<'a> KernelCtx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fuseme_matrix::{gen, BinOp, BlockedMatrix, UnaryOp};
+    use fuseme_matrix::{gen, AggOp, BinOp, BlockedMatrix, UnaryOp};
     use fuseme_plan::DagBuilder;
 
-    /// Builds the NMF query O = X * log(U×Vᵀ + eps) with all blocks of all
-    /// inputs in the store, and returns (dag, ops, root, main_mm, store,
-    /// reference output).
-    fn setup() -> (
-        QueryDag,
-        BTreeSet<NodeId>,
-        NodeId,
-        NodeId,
-        LocalStore,
-        BlockedMatrix,
-    ) {
+    /// The NMF query O = X * log(U×Vᵀ + eps) with all blocks of all inputs
+    /// in the store.
+    struct Nmf {
+        dag: QueryDag,
+        roles: PlanRoles,
+        store: LocalStore,
+        expected: BlockedMatrix,
+        root: NodeId,
+        mm: NodeId,
+        vt: NodeId,
+        add: NodeId,
+        lg: NodeId,
+        inputs: [NodeId; 3],
+        eps: NodeId,
+    }
+
+    fn setup() -> Nmf {
         let bs = 5;
         let x = gen::sparse_uniform(20, 20, bs, 0.3, 1.0, 2.0, 1).unwrap();
         let u = gen::dense_uniform(20, 10, bs, 0.1, 1.0, 2).unwrap();
@@ -420,6 +542,7 @@ mod tests {
         let out = b.binary(xe, lg, BinOp::Mul);
         let dag = b.finish(vec![out]);
         let ops = BTreeSet::from([vt.id(), mm.id(), add.id(), lg.id(), out.id()]);
+        let roles = PlanRoles::new(&dag, &PartialPlan::new(ops, out.id()));
 
         let mut store = LocalStore::new();
         for (m, id) in [(&x, xe.id()), (&u, ue.id()), (&v, ve.id())] {
@@ -436,17 +559,29 @@ mod tests {
                 .unwrap();
             x.zip(&lg, BinOp::Mul).unwrap()
         };
-        (dag, ops, out.id(), mm.id(), store, expected)
+        Nmf {
+            dag,
+            roles,
+            store,
+            expected,
+            root: out.id(),
+            mm: mm.id(),
+            vt: vt.id(),
+            add: add.id(),
+            lg: lg.id(),
+            inputs: [xe.id(), ue.id(), ve.id()],
+            eps: eps.id(),
+        }
     }
 
     #[test]
     fn kernel_matches_reference_per_block() {
-        let (dag, ops, root, mm, store, expected) = setup();
-        let mut ctx = KernelCtx::new(&dag, &ops, Some(mm), 0..2, &store);
+        let f = setup();
+        let mut ctx = KernelCtx::new(&f.dag, &f.roles, 0..2, &f.store);
         for bi in 0..4 {
             for bj in 0..4 {
-                let got = ctx.eval(root, bi, bj).unwrap();
-                let want = expected.block_or_zero(bi, bj);
+                let got = ctx.eval(f.root, bi, bj).unwrap();
+                let want = f.expected.block_or_zero(bi, bj);
                 let g = got.to_dense();
                 let w = want.to_dense();
                 for (a, b) in g.data().iter().zip(w.data()) {
@@ -457,56 +592,107 @@ mod tests {
     }
 
     #[test]
-    fn support_skips_empty_gated_blocks() {
-        let (dag, ops, root, mm, mut store, _) = setup();
-        // Remove all X blocks: every output block loses support.
-        let x_id = dag
-            .nodes()
-            .iter()
-            .find(|n| matches!(&n.kind, OpKind::Input { name } if name == "X"))
-            .unwrap()
-            .id;
-        let keys: Vec<_> = (0..4).flat_map(|i| (0..4).map(move |j| (i, j))).collect();
-        let mut emptied = LocalStore::new();
-        for ((node, coord), blk) in keys
-            .iter()
-            .flat_map(|&c| store.get(x_id, c).map(|b| ((x_id, c), Arc::clone(b))))
-        {
-            let _ = (node, coord, blk);
+    fn nmf_roles_memoize_only_the_multiplication_operand() {
+        let f = setup();
+        assert_eq!(f.roles.role(f.vt), Role::Op { memo: true });
+        for op in [f.mm, f.add, f.lg, f.root] {
+            assert_eq!(f.roles.role(op), Role::Op { memo: false }, "node {op}");
         }
-        let _ = &mut store;
-        // Build a store without X at all.
-        for node in dag.nodes() {
-            if let OpKind::Input { name } = &node.kind {
-                if name != "X" {
-                    for &c in &keys {
-                        if let Some(b) = store.get(node.id, c) {
-                            emptied.insert(node.id, c, Arc::clone(b));
-                        }
-                    }
-                }
+        for input in f.inputs {
+            assert_eq!(f.roles.role(input), Role::External);
+        }
+        assert_eq!(f.roles.role(f.eps), Role::Scalar(0.5));
+    }
+
+    #[test]
+    fn memo_holds_only_reused_operator_values() {
+        let f = setup();
+        let mut ctx = KernelCtx::new(&f.dag, &f.roles, 0..2, &f.store);
+        for bi in 0..4 {
+            for bj in 0..4 {
+                ctx.eval(f.root, bi, bj).unwrap();
             }
         }
-        let ctx = KernelCtx::new(&dag, &ops, Some(mm), 0..2, &emptied);
-        for &(bi, bj) in &keys {
-            assert!(!ctx.has_support(root, bi, bj));
+        // t(V) is read by every output block of its column; nothing else —
+        // no store block, no single-consumer intermediate — is kept.
+        assert!(!ctx.memo.is_empty());
+        assert!(ctx.memo.keys().all(|&(node, _, _)| node == f.vt));
+    }
+
+    #[test]
+    fn agg_rooted_plan_keeps_no_intermediate() {
+        // sum((X - V×U)^2): the summand is consumed once per block, so the
+        // kernel never holds the intermediate tile.
+        let bs = 4;
+        let x = gen::dense_uniform(12, 8, bs, 0.0, 1.0, 11).unwrap();
+        let v = gen::dense_uniform(12, 4, bs, 0.0, 1.0, 12).unwrap();
+        let u = gen::dense_uniform(4, 8, bs, 0.0, 1.0, 13).unwrap();
+        let mut b = DagBuilder::new();
+        let xe = b.input("X", *x.meta());
+        let ve = b.input("V", *v.meta());
+        let ue = b.input("U", *u.meta());
+        let mm = b.matmul(ve, ue);
+        let diff = b.binary(xe, mm, BinOp::Sub);
+        let sq = b.unary(diff, UnaryOp::Square);
+        let sum = b.full_agg(sq, AggOp::Sum);
+        let dag = b.finish(vec![sum]);
+        let ops = BTreeSet::from([mm.id(), diff.id(), sq.id(), sum.id()]);
+        let roles = PlanRoles::new(&dag, &PartialPlan::new(ops, sum.id()));
+        let mut store = LocalStore::new();
+        for (m, id) in [(&x, xe.id()), (&v, ve.id()), (&u, ue.id())] {
+            for (bi, bj, blk) in m.iter_blocks() {
+                store.insert(id, (bi, bj), Arc::clone(blk));
+            }
+        }
+        let mut ctx = KernelCtx::new(&dag, &roles, 0..1, &store);
+        let mut total = 0.0;
+        for bi in 0..3 {
+            for bj in 0..2 {
+                total += ctx.eval(sq.id(), bi, bj).unwrap().agg(AggOp::Sum);
+            }
+        }
+        assert!(ctx.memo.is_empty());
+        let want = x
+            .zip(&v.matmul(&u).unwrap(), BinOp::Sub)
+            .unwrap()
+            .map(UnaryOp::Square)
+            .unwrap()
+            .agg(AggOp::Sum);
+        assert!((total - want).abs() < 1e-9, "{total} vs {want}");
+    }
+
+    #[test]
+    fn support_skips_empty_gated_blocks() {
+        let f = setup();
+        // A store without any X block: every output block loses support.
+        let [x, u, v] = f.inputs;
+        let mut emptied = LocalStore::new();
+        for (node, coord) in f.store.keys().filter(|&(n, _)| n == u || n == v) {
+            emptied.insert(node, coord, Arc::clone(f.store.get(node, coord).unwrap()));
+        }
+        assert!(emptied.keys().all(|(n, _)| n != x));
+        let ctx = KernelCtx::new(&f.dag, &f.roles, 0..2, &emptied);
+        for bi in 0..4 {
+            for bj in 0..4 {
+                assert!(!ctx.has_support(f.root, bi, bj));
+            }
         }
     }
 
     #[test]
     fn partial_k_slices_sum_to_full() {
-        let (dag, ops, _root, mm, store, _) = setup();
+        let f = setup();
         // Evaluate the matmul on two k-slices; their sum must equal the
         // full-range evaluation.
-        let mut full = KernelCtx::new(&dag, &ops, Some(mm), 0..2, &store);
-        let mut lo = KernelCtx::new(&dag, &ops, Some(mm), 0..1, &store);
-        let mut hi = KernelCtx::new(&dag, &ops, Some(mm), 1..2, &store);
+        let mut full = KernelCtx::new(&f.dag, &f.roles, 0..2, &f.store);
+        let mut lo = KernelCtx::new(&f.dag, &f.roles, 0..1, &f.store);
+        let mut hi = KernelCtx::new(&f.dag, &f.roles, 1..2, &f.store);
         for bi in 0..4 {
             for bj in 0..4 {
-                let f = full.eval(mm, bi, bj).unwrap().to_dense();
-                let a = lo.eval(mm, bi, bj).unwrap().to_dense();
-                let b = hi.eval(mm, bi, bj).unwrap().to_dense();
-                for ((x, y), z) in f.data().iter().zip(a.data()).zip(b.data()) {
+                let a = full.eval(f.mm, bi, bj).unwrap().to_dense();
+                let b = lo.eval(f.mm, bi, bj).unwrap().to_dense();
+                let c = hi.eval(f.mm, bi, bj).unwrap().to_dense();
+                for ((x, y), z) in a.data().iter().zip(b.data()).zip(c.data()) {
                     assert!((x - (y + z)).abs() < 1e-9);
                 }
             }
@@ -515,21 +701,21 @@ mod tests {
 
     #[test]
     fn mm_override_used_in_stage_two() {
-        let (dag, ops, root, mm, store, expected) = setup();
+        let f = setup();
         // Precompute full mm blocks, then hand them to a stage-2 context
         // with an empty k-range: results must still be correct.
-        let mut pre = KernelCtx::new(&dag, &ops, Some(mm), 0..2, &store);
+        let mut pre = KernelCtx::new(&f.dag, &f.roles, 0..2, &f.store);
         let mut agg: HashMap<(usize, usize), Arc<Block>> = HashMap::new();
         for bi in 0..4 {
             for bj in 0..4 {
-                agg.insert((bi, bj), pre.eval(mm, bi, bj).unwrap());
+                agg.insert((bi, bj), pre.eval(f.mm, bi, bj).unwrap());
             }
         }
-        let mut stage2 = KernelCtx::new(&dag, &ops, Some(mm), 0..0, &store).with_mm_override(&agg);
+        let mut stage2 = KernelCtx::new(&f.dag, &f.roles, 0..0, &f.store).with_mm_override(&agg);
         for bi in 0..4 {
             for bj in 0..4 {
-                let got = stage2.eval(root, bi, bj).unwrap().to_dense();
-                let want = expected.block_or_zero(bi, bj).to_dense();
+                let got = stage2.eval(f.root, bi, bj).unwrap().to_dense();
+                let want = f.expected.block_or_zero(bi, bj).to_dense();
                 for (a, b) in got.data().iter().zip(want.data()) {
                     assert!((a - b).abs() < 1e-9);
                 }
@@ -539,17 +725,17 @@ mod tests {
 
     #[test]
     fn needs_covers_structural_inputs() {
-        let (dag, ops, root, mm, store, _) = setup();
-        let ctx = KernelCtx::new(&dag, &ops, Some(mm), 0..2, &store);
+        let f = setup();
+        let ctx = KernelCtx::new(&f.dag, &f.roles, 0..2, &f.store);
         let mut out = BTreeSet::new();
-        ctx.needs(root, 1, 2, &mut out);
+        ctx.needs(f.root, 1, 2, &mut out);
         // For output block (1,2): X(1,2); U(1, 0..2); V(2, 0..2) via the
         // transpose.
         let coords: Vec<_> = out.iter().collect();
         assert_eq!(coords.len(), 1 + 2 + 2, "{coords:?}");
         let ks: BTreeSet<usize> = out
             .iter()
-            .filter(|(n, _)| matches!(&dag.node(*n).kind, OpKind::Input { name } if name == "U"))
+            .filter(|&&(n, _)| n == f.inputs[1])
             .map(|&(_, (_, k))| k)
             .collect();
         assert_eq!(ks, BTreeSet::from([0, 1]));
@@ -557,18 +743,17 @@ mod tests {
 
     #[test]
     fn needs_respects_k_slice() {
-        let (dag, ops, root, mm, store, _) = setup();
-        let ctx = KernelCtx::new(&dag, &ops, Some(mm), 1..2, &store);
+        let f = setup();
+        let ctx = KernelCtx::new(&f.dag, &f.roles, 1..2, &f.store);
         let mut out = BTreeSet::new();
-        ctx.needs(root, 0, 0, &mut out);
-        for (n, (bi, bj)) in &out {
-            if let OpKind::Input { name } = &dag.node(*n).kind {
-                if name == "U" {
-                    assert_eq!((*bi, *bj), (0, 1), "only the k=1 slice of U");
-                }
-                if name == "V" {
-                    assert_eq!((*bi, *bj), (0, 1), "V(j=0, k=1)");
-                }
+        ctx.needs(f.root, 0, 0, &mut out);
+        let [_, u, v] = f.inputs;
+        for &(n, coord) in &out {
+            if n == u {
+                assert_eq!(coord, (0, 1), "only the k=1 slice of U");
+            }
+            if n == v {
+                assert_eq!(coord, (0, 1), "V(j=0, k=1)");
             }
         }
     }
@@ -584,11 +769,13 @@ mod tests {
         let dbl = b.binary(sq, sq, BinOp::Add); // diamond on sq
         let dag = b.finish(vec![dbl]);
         let ops = BTreeSet::from([sq.id(), dbl.id()]);
+        let roles = PlanRoles::new(&dag, &PartialPlan::new(ops, dbl.id()));
+        assert_eq!(roles.role(sq.id()), Role::Op { memo: true });
         let mut store = LocalStore::new();
         for (bi, bj, blk) in x.iter_blocks() {
             store.insert(xe.id(), (bi, bj), Arc::clone(blk));
         }
-        let mut ctx = KernelCtx::new(&dag, &ops, None, 0..0, &store);
+        let mut ctx = KernelCtx::new(&dag, &roles, 0..0, &store);
         let v = ctx.eval(dbl.id(), 0, 0).unwrap();
         let direct = x.block_or_zero(0, 0).map(UnaryOp::Square);
         let expect = direct.zip(&direct, BinOp::Add).unwrap();

@@ -5,16 +5,14 @@
 //!
 //! * [`kernel`] — the fused-kernel interpreter. Given a task's local block
 //!   store it evaluates a partial fusion plan per output block *without
-//!   materializing intermediate matrices*, exploits sparsity by skipping
-//!   output blocks whose gate is empty, and (mirroring the same recursion)
-//!   computes exactly which input blocks a task needs.
+//!   materializing intermediate matrices*, memoizing only values the plan
+//!   reads more than once, and exploits sparsity by skipping output blocks
+//!   whose gate is empty.
 //! * [`fused_op`] — the three distributed fused operators: the paper's CFO
 //!   (cuboid `(P,Q,R)` partitioning, two-stage execution when `R > 1`), and
 //!   the baseline BFO (broadcast) and RFO (replication). DistME's CuboidMM
-//!   is the CFO applied to a single-multiplication plan.
-//! * [`unfused`] — per-operator execution for plan nodes outside any fused
-//!   unit (element-wise, transpose, aggregations), plus standalone matmul
-//!   via a singleton fused plan.
+//!   is the CFO applied to a single-multiplication plan; operators outside
+//!   any fused unit run as singleton plans through the same machinery.
 //! * [`driver`] — executes a whole [`fuseme_fusion::FusionPlan`] over named
 //!   inputs, materializing unit outputs and collecting run statistics.
 
@@ -23,8 +21,7 @@
 pub mod driver;
 pub mod fused_op;
 pub mod kernel;
-pub mod unfused;
 
 pub use driver::{execute_plan, EngineStats, ExecConfig, MatmulStrategy, OptOutcome};
 pub use fused_op::Strategy;
-pub use kernel::{KernelCtx, LocalStore};
+pub use kernel::{KernelCtx, LocalStore, PlanRoles};

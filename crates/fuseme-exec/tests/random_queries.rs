@@ -15,7 +15,7 @@ use proptest::prelude::*;
 
 use fuseme_exec::driver::{execute_plan, ExecConfig, MatmulStrategy};
 use fuseme_exec::fused_op::{execute_fused, route, ValueMap};
-use fuseme_exec::{KernelCtx, LocalStore, Strategy};
+use fuseme_exec::{KernelCtx, LocalStore, PlanRoles, Strategy};
 use fuseme_fusion::cfg::{explore, Cfg};
 use fuseme_fusion::optimizer::Pqr;
 use fuseme_fusion::plan::{FusionPlan, PartialPlan};
@@ -241,7 +241,7 @@ proptest! {
         let empty = LocalStore::new();
         for plan in candidate_plans(&dag) {
             let values = plan_values(&dag, &plan, &binds, seed);
-            let main_mm = plan.main_matmul(&dag);
+            let roles = PlanRoles::new(&dag, &plan);
             for strategy in [
                 Strategy::Cuboid { pqr: Pqr { p, q, r } },
                 Strategy::Broadcast { partition_bytes },
@@ -262,7 +262,7 @@ proptest! {
                 let covered: usize = routing.tasks.iter().map(|t| t.out_blocks.len()).sum();
                 prop_assert!(covered > 0, "no task computes anything");
                 for task in &routing.tasks {
-                    let probe = KernelCtx::new(&dag, &plan.ops, main_mm, task.k_range.clone(), &empty);
+                    let probe = KernelCtx::new(&dag, &roles, task.k_range.clone(), &empty);
                     let mut want = BTreeSet::new();
                     for &(bi, bj) in &task.out_blocks {
                         probe.needs(routing.compute_node, bi, bj, &mut want);
