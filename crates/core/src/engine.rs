@@ -163,12 +163,6 @@ impl Engine {
         self.cluster.set_replica_cache(budget_bytes);
     }
 
-    /// Builder form of [`set_replica_cache`](Engine::set_replica_cache).
-    pub fn with_replica_cache(mut self, budget_bytes: u64) -> Self {
-        self.set_replica_cache(Some(budget_bytes));
-        self
-    }
-
     /// Cumulative replica-cache counters, when the cache is armed.
     pub fn cache_stats(&self) -> Option<fuseme_sim::CacheStats> {
         self.cluster.cache_stats()
@@ -260,19 +254,11 @@ impl Engine {
     pub fn run(&self, dag: &QueryDag, inputs: &Bindings) -> Result<RunOutcome, SimError> {
         let plan_start = std::time::Instant::now();
         let plan = self.plan(dag);
-        fuseme_obs::handle().event("fusion-plan", || {
-            vec![
-                ("engine".to_string(), self.kind.name().into()),
-                ("units".to_string(), (plan.units.len() as u64).into()),
-                (
-                    "fused_ops".to_string(),
-                    (plan.fused_op_count() as u64).into(),
-                ),
-                (
-                    "plan_secs".to_string(),
-                    plan_start.elapsed().as_secs_f64().into(),
-                ),
-            ]
+        fuseme_obs::handle().emit(fuseme_obs::Event::FusionPlan {
+            engine: self.kind.name(),
+            units: plan.units.len() as u64,
+            fused_ops: plan.fused_op_count() as u64,
+            plan_secs: plan_start.elapsed().as_secs_f64(),
         });
         let (outputs, stats) = execute_plan(&self.cluster, dag, &plan, inputs, &self.exec)?;
         Ok(RunOutcome { outputs, stats })

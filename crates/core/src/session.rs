@@ -172,9 +172,9 @@ impl Session {
         {
             let old_uid = old.uid();
             if old_uid != value.uid() {
-                cache.bump_version(old_uid);
-                fuseme_obs::handle().event(fuseme_obs::events::CACHE_INVALIDATE, || {
-                    vec![(fuseme_obs::keys::MATRIX_UID.to_string(), old_uid.into())]
+                fuseme_obs::handle().emit(fuseme_obs::Event::CacheInvalidate {
+                    matrix_uid: old_uid,
+                    invalidations: cache.bump_version(old_uid),
                 });
             }
         }
@@ -348,6 +348,7 @@ mod tests {
     fn replica_cache_accelerates_iteration() {
         let mut s = session();
         s.set_replica_cache(Some(64 << 20));
+        s.enable_tracing();
         s.gen_sparse("X", 30, 30, 10, 0.3, 4).unwrap();
         s.gen_dense("U", 30, 10, 10, 5).unwrap();
         s.gen_dense("V", 30, 10, 10, 6).unwrap();
@@ -367,6 +368,29 @@ mod tests {
         assert!(second.stats.comm.total() < first.stats.comm.total());
         let total = s.cache_stats().unwrap();
         assert!(total.invalidations > 0, "{total:?}");
+        // The trace, covering the cache's whole life, folds back to exactly
+        // the cache's own counters.
+        let t = s
+            .trace_summary()
+            .unwrap()
+            .cache
+            .expect("cache events traced");
+        assert_eq!(
+            (
+                t.hits,
+                t.misses,
+                t.evictions,
+                t.invalidations,
+                t.saved_bytes
+            ),
+            (
+                total.hits,
+                total.misses,
+                total.evictions,
+                total.invalidations,
+                total.saved_bytes
+            )
+        );
     }
 
     #[test]

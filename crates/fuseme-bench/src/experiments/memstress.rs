@@ -263,6 +263,7 @@ mod tests {
         let mut s = Session::new(Engine::fuseme(tiny_config()));
         s.set_fault_plan(Some(extreme_skew()));
         s.set_fault_tolerance(FaultToleranceConfig::resilient());
+        s.enable_tracing();
         g.bind_inputs(&mut s, 13).unwrap();
         let mut pqr = Vec::new();
         for _ in 0..ITERS {
@@ -278,6 +279,9 @@ mod tests {
         let fs = s.fault_stats();
         assert!(fs.replans >= 1, "{fs:?}");
         assert!(fs.wasted_bytes > 0);
+        // Each rung's event carries its waste once: the trace folds back to
+        // exactly the ledger's counters.
+        assert_eq!(s.trace_summary().unwrap().faults, Some(fs));
         // The generous budget makes the tightened re-plan re-land on the
         // oracle's (P,Q,R), so the ledger reconciles exactly.
         assert_eq!(pqr, oracle.pqr);

@@ -23,7 +23,7 @@ use fuseme_fusion::optimizer::{
 use fuseme_fusion::plan::{mm_dims, ExecUnit, FusionPlan, PartialPlan};
 use fuseme_fusion::space::{input_axes, SpaceTree};
 use fuseme_matrix::BlockedMatrix;
-use fuseme_obs::{events, keys, SpanGuard, SpanKind};
+use fuseme_obs::{keys, Event, SpanGuard, SpanKind, Waste};
 use fuseme_plan::{Bindings, NodeId, OpKind, QueryDag};
 use fuseme_sim::{
     CacheStats, Cluster, CommStats, FaultStats, FaultToleranceConfig, LadderRung, OomReport,
@@ -245,8 +245,8 @@ pub fn execute_plan(
 /// A re-run restarts the whole unit — inputs are re-consolidated from the
 /// driver's materialized values, exactly like Spark recomputing a stage's
 /// parents from lineage. The abandoned attempt's ledger charges (minus any
-/// retry/speculation waste it already booked itself, to avoid
-/// double-counting) become wasted work.
+/// retry/speculation waste its own events already carried, to avoid
+/// double-counting) become the re-run event's wasted work.
 fn run_unit(
     cluster: &Cluster,
     dag: &QueryDag,
@@ -258,30 +258,15 @@ fn run_unit(
     let max_reruns = config.fault_tolerance.max_stage_reruns;
     let mut reruns = 0u32;
     loop {
-        let comm_attempt = cluster.comm();
-        let flops_attempt = cluster.ledger().flops_total();
-        let waste_attempt = cluster.fault_stats();
+        let mut mark = WasteMark::take(cluster);
         match execute_fused(cluster, dag, plan, values, strategy) {
             Ok(out) => return Ok(out),
             Err(SimError::ExecutorLost { stage }) if reruns < max_reruns => {
                 reruns += 1;
-                let attempt = cluster.fault_stats().since(&waste_attempt);
-                let attempt_bytes = cluster.comm().since(&comm_attempt).total();
-                let attempt_flops = cluster.ledger().flops_total() - flops_attempt;
-                // The attempt's in-stage waste (retries, speculation) is
-                // already booked by the stage spans; only the rest of the
-                // abandoned attempt is new waste.
-                let rerun_bytes = attempt_bytes - attempt.wasted_bytes;
-                let rerun_flops = attempt_flops - attempt.wasted_flops;
-                cluster.fault_ledger().add_wasted(rerun_bytes, rerun_flops);
-                cluster.fault_ledger().record_stage_rerun();
-                fuseme_obs::handle().event(events::STAGE_RERUN, || {
-                    vec![
-                        (keys::STAGE_ID.to_string(), stage.into()),
-                        (keys::ATTEMPTS.to_string(), u64::from(reruns + 1).into()),
-                        (keys::WASTED_BYTES.to_string(), rerun_bytes.into()),
-                        (keys::WASTED_FLOPS.to_string(), rerun_flops.into()),
-                    ]
+                mark.book(cluster, |wasted| Event::StageRerun {
+                    stage,
+                    attempts: u64::from(reruns + 1),
+                    wasted,
                 });
             }
             Err(e) => return Err(e),
@@ -290,8 +275,8 @@ fn run_unit(
 }
 
 /// One attempt's ledger snapshot, for booking a failed attempt's charges as
-/// wasted work without double-counting waste the attempt already booked
-/// itself (task retries, speculation, stage re-runs).
+/// wasted work without double-counting waste the attempt's own events
+/// already carried (task retries, speculation, stage re-runs).
 struct WasteMark {
     comm: CommStats,
     flops: u64,
@@ -307,20 +292,23 @@ impl WasteMark {
         }
     }
 
-    /// Books everything charged since the mark as wasted work and re-arms
-    /// the mark. Returns the `(bytes, flops)` newly booked.
-    fn book(&mut self, cluster: &Cluster) -> (u64, u64) {
+    /// Emits `event`, built around everything charged since the mark and
+    /// not yet carried as waste by another event, then re-arms the mark.
+    /// The event is counted before the mark re-arms, so the next booking
+    /// never carries the same waste again.
+    fn book(&mut self, cluster: &Cluster, event: impl FnOnce(Waste) -> Event) {
         let attempt = cluster.fault_stats().since(&self.faults);
-        let bytes = cluster
-            .comm()
-            .since(&self.comm)
-            .total()
-            .saturating_sub(attempt.wasted_bytes);
-        let flops =
-            (cluster.ledger().flops_total() - self.flops).saturating_sub(attempt.wasted_flops);
-        cluster.fault_ledger().add_wasted(bytes, flops);
+        let wasted = Waste {
+            bytes: cluster
+                .comm()
+                .since(&self.comm)
+                .total()
+                .saturating_sub(attempt.wasted_bytes),
+            flops: (cluster.ledger().flops_total() - self.flops)
+                .saturating_sub(attempt.wasted_flops),
+        };
+        cluster.fault_ledger().emit(event(wasted));
         *self = WasteMark::take(cluster);
-        (bytes, flops)
     }
 }
 
@@ -388,7 +376,7 @@ fn recover_from_oom(
     mark: &mut WasteMark,
 ) -> Result<Arc<BlockedMatrix>, SimError> {
     let ft = &config.fault_tolerance;
-    let obs = fuseme_obs::handle();
+    let root = plan.root as u64;
     let mut rungs: Vec<LadderRung> = Vec::new();
     let mut last = first;
     let max_r = if supports_k_split(dag, plan) {
@@ -412,17 +400,12 @@ fn recover_from_oom(
             if !replanned.feasible {
                 break; // tightening further cannot help
             }
-            let (wb, wf) = mark.book(cluster);
-            cluster.fault_ledger().record_replan();
-            rungs.push(LadderRung::Replan { headroom });
-            obs.event(events::REPLAN, || {
-                vec![
-                    (keys::ROOT.to_string(), (plan.root as u64).into()),
-                    (keys::HEADROOM.to_string(), headroom.into()),
-                    (keys::WASTED_BYTES.to_string(), wb.into()),
-                    (keys::WASTED_FLOPS.to_string(), wf.into()),
-                ]
+            mark.book(cluster, |wasted| Event::Replan {
+                root,
+                headroom,
+                wasted,
             });
+            rungs.push(LadderRung::Replan { headroom });
             record_pqr(stats, plan.root, replanned.pqr);
             let retry = Strategy::Cuboid { pqr: replanned.pqr };
             match run_unit(cluster, dag, plan, values, &retry, config) {
@@ -441,16 +424,8 @@ fn recover_from_oom(
         let Some((fm, fi)) = split(dag, plan, vi) else {
             continue;
         };
-        let (wb, wf) = mark.book(cluster);
-        cluster.fault_ledger().record_plan_split();
+        mark.book(cluster, |wasted| Event::PlanSplit { root, wasted });
         rungs.push(LadderRung::Split);
-        obs.event(events::PLAN_SPLIT, || {
-            vec![
-                (keys::ROOT.to_string(), (plan.root as u64).into()),
-                (keys::WASTED_BYTES.to_string(), wb.into()),
-                (keys::WASTED_FLOPS.to_string(), wf.into()),
-            ]
-        });
         match run_subplans(cluster, dag, &[fi, fm], values, config, stats) {
             Ok(out) => return Ok(out),
             Err(e @ SimError::OutOfMemory { .. }) => last = e,
@@ -460,16 +435,8 @@ fn recover_from_oom(
 
     // Rung 3 — abandon fusion: every member operator as its own unit.
     if plan.ops.len() > 1 {
-        let (wb, wf) = mark.book(cluster);
-        cluster.fault_ledger().record_unfused_fallback();
+        mark.book(cluster, |wasted| Event::UnfusedFallback { root, wasted });
         rungs.push(LadderRung::Unfused);
-        obs.event(events::UNFUSED_FALLBACK, || {
-            vec![
-                (keys::ROOT.to_string(), (plan.root as u64).into()),
-                (keys::WASTED_BYTES.to_string(), wb.into()),
-                (keys::WASTED_FLOPS.to_string(), wf.into()),
-            ]
-        });
         let singletons: Vec<PartialPlan> = plan
             .ops
             .iter()
@@ -482,8 +449,9 @@ fn recover_from_oom(
         }
     }
 
-    // Rung 4 — exhausted: report what the unit actually needs.
-    mark.book(cluster);
+    // Rung 4 — exhausted: report what the unit actually needs. The run
+    // fails here, so the last rung's charges are not booked as waste:
+    // `ledger == oracle + wasted` only describes completed runs.
     let (actual, budget) = match &last {
         SimError::OutOfMemory { needed, budget, .. } => (*needed, *budget),
         _ => (0, config.model.mem_per_task),
@@ -868,11 +836,16 @@ mod tests {
         cl.set_fault_plan(Some(fuseme_sim::FaultPlan::new(4).with_executor_loss_at(0)));
         cl.set_fault_tolerance(fuseme_sim::FaultToleranceConfig::resilient());
         let config = ExecConfig::for_cluster(&cl, MatmulStrategy::Cfo);
+        let rec = fuseme_obs::Recorder::new();
+        fuseme_obs::install(&rec);
         let (roots, stats) = execute_plan(&cl, &dag, &plan, &bindings, &config).unwrap();
+        fuseme_obs::uninstall();
         // The re-run recomputed the correct result…
         assert!(roots[0].approx_eq(&expected, 1e-9));
         assert_eq!(stats.faults.executor_losses, 1);
         assert_eq!(stats.faults.stage_reruns, 1);
+        // …the trace's events fold back to exactly the ledger's counters…
+        assert_eq!(fuseme_obs::summarize(&rec).faults, Some(stats.faults));
         // …and the abandoned attempt's traffic reconciles exactly:
         // ledger total == oracle total + wasted bytes.
         assert!(stats.faults.wasted_bytes > 0);

@@ -33,6 +33,7 @@ use fuseme_fusion::optimizer::Pqr;
 use fuseme_fusion::plan::{mm_dims, PartialPlan};
 use fuseme_fusion::space::SpaceTree;
 use fuseme_matrix::{AggOp, BinOp, Block, BlockedMatrix, DenseBlock};
+use fuseme_obs::{Event, Rejected};
 use fuseme_plan::{NodeId, OpKind, QueryDag};
 use fuseme_sim::executor::run_stage;
 use fuseme_sim::{Cluster, Phase, SimError, TaskWork};
@@ -145,15 +146,11 @@ fn admit_estimate(
     if mem_est <= budget.saturating_mul(ADMISSION_SLACK) {
         return Ok(());
     }
-    cluster.fault_ledger().record_mem_admission_reject();
-    fuseme_obs::handle().event(fuseme_obs::events::MEM_ADMISSION_REJECT, || {
-        vec![
-            (
-                fuseme_obs::keys::ROOT.to_string(),
-                (plan.root as u64).into(),
-            ),
-            (fuseme_obs::keys::PEAK_MEM.to_string(), mem_est.into()),
-        ]
+    cluster.fault_ledger().emit(Event::MemAdmissionReject {
+        at: Rejected::Unit {
+            root: plan.root as u64,
+        },
+        peak_mem: mem_est,
     });
     Err(SimError::OutOfMemory {
         task: 0,
@@ -234,6 +231,9 @@ pub fn execute_fused(
             let axes: HashMap<NodeId, u64> = fuseme_fusion::space::input_axes(&tree)
                 .into_iter()
                 .collect();
+            let obs = fuseme_obs::handle();
+            let root = plan.root as u64;
+            let grid = (pqr.p as u64, pqr.q as u64, pqr.r as u64);
             let evictions_before = cache.stats().evictions;
             let mut skip = BTreeSet::new();
             for node in plan.external_inputs(dag) {
@@ -247,43 +247,30 @@ pub fn execute_fused(
                 if bytes == 0 {
                     continue;
                 }
-                let uid = value.uid();
+                let matrix_uid = value.uid();
                 let triple = (pqr.p, pqr.q, pqr.r);
-                let hit = cache.admit(uid, axis, triple, bytes).is_hit();
-                let obs = fuseme_obs::handle();
-                let name = if hit {
+                obs.emit(if cache.admit(matrix_uid, axis, triple, bytes).is_hit() {
                     skip.insert(node);
-                    fuseme_obs::events::CACHE_HIT
+                    Event::CacheHit {
+                        root,
+                        matrix_uid,
+                        axis,
+                        pqr: grid,
+                        saved_bytes: bytes,
+                    }
                 } else {
-                    fuseme_obs::events::CACHE_MISS
-                };
-                obs.event(name, || {
-                    vec![
-                        (
-                            fuseme_obs::keys::ROOT.to_string(),
-                            (plan.root as u64).into(),
-                        ),
-                        (fuseme_obs::keys::MATRIX_UID.to_string(), uid.into()),
-                        (fuseme_obs::keys::AXIS.to_string(), axis.into()),
-                        (fuseme_obs::keys::P.to_string(), (pqr.p as u64).into()),
-                        (fuseme_obs::keys::Q.to_string(), (pqr.q as u64).into()),
-                        (fuseme_obs::keys::R.to_string(), (pqr.r as u64).into()),
-                        (
-                            if hit {
-                                fuseme_obs::keys::SAVED_BYTES.to_string()
-                            } else {
-                                fuseme_obs::keys::BYTES.to_string()
-                            },
-                            bytes.into(),
-                        ),
-                    ]
+                    Event::CacheMiss {
+                        root,
+                        matrix_uid,
+                        axis,
+                        pqr: grid,
+                        bytes,
+                    }
                 });
             }
-            let evicted = cache.stats().evictions - evictions_before;
-            if evicted > 0 {
-                fuseme_obs::handle().event(fuseme_obs::events::CACHE_EVICT, || {
-                    vec![(fuseme_obs::keys::EVICTIONS.to_string(), evicted.into())]
-                });
+            let evictions = cache.stats().evictions - evictions_before;
+            if evictions > 0 {
+                obs.emit(Event::CacheEvict { evictions });
             }
             skip
         }

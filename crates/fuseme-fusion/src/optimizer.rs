@@ -345,17 +345,14 @@ pub fn min_feasible_theta(
 /// Emits a "cuboid-search" trace event recording the searched space, how
 /// much of it was actually evaluated, and the winning cuboid.
 fn record_search(mode: &'static str, space: u64, result: &OptResult) {
-    fuseme_obs::handle().event("cuboid-search", || {
-        vec![
-            ("mode".to_string(), mode.into()),
-            ("space".to_string(), space.into()),
-            ("evaluated".to_string(), result.stats.evaluated.into()),
-            ("p".to_string(), (result.pqr.p as u64).into()),
-            ("q".to_string(), (result.pqr.q as u64).into()),
-            ("r".to_string(), (result.pqr.r as u64).into()),
-            ("cost".to_string(), result.cost.into()),
-            ("feasible".to_string(), result.feasible.into()),
-        ]
+    let Pqr { p, q, r } = result.pqr;
+    fuseme_obs::handle().emit(fuseme_obs::Event::CuboidSearch {
+        mode,
+        space,
+        evaluated: result.stats.evaluated,
+        pqr: (p as u64, q as u64, r as u64),
+        cost: result.cost,
+        feasible: result.feasible,
     });
 }
 

@@ -159,11 +159,6 @@ impl BinOp {
         matches!(self, BinOp::Mul)
     }
 
-    /// `true` if `0 op x == 0` for all finite `x` (left zero preserved).
-    pub fn preserves_left_zero(self) -> bool {
-        matches!(self, BinOp::Mul | BinOp::Div)
-    }
-
     /// Stable display name.
     pub fn name(self) -> &'static str {
         match self {

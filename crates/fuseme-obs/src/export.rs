@@ -13,8 +13,8 @@
 //!   positioned on the simulator's clock (1 simulated second = 1 second of
 //!   trace time), which is where wave scheduling is visible.
 //!
-//! Recorder events appear as instant events on the wall track. Span
-//! attributes are exported under `args`.
+//! Recorder events appear as instant events on the wall track. Span and
+//! event attributes are exported under `args`.
 //!
 //! # Summary
 //!
@@ -23,13 +23,16 @@
 //! reconcile exactly with the ledger's `CommStats` when every charge is
 //! stage-attributed), and one [`UnitTrace`] per exec-unit combining the
 //! optimizer's predictions with the simulated actuals of the unit's stages.
-//! [`predicted_vs_actual`] renders that comparison as a text table.
+//! Fault and cache activity is folded from the recorded events with
+//! [`FaultStats::count`] and [`CacheTrace::count`], the same mapping the
+//! simulator's live counters use. [`predicted_vs_actual`] renders the
+//! predicted-vs-actual comparison as a text table.
 
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::{keys, Recorder, SpanKind, SpanRecord, Value};
+use crate::{keys, CacheTrace, FaultStats, Recorder, SpanKind, SpanRecord, Value};
 
 /// Aggregate statistics for one span kind.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -102,67 +105,6 @@ pub struct UnitTrace {
     pub actual: ActualCost,
 }
 
-/// Recovery activity visible in a trace: retry/speculation counters summed
-/// over stage spans plus stage re-runs and executor losses counted from
-/// their point events. Wasted totals include both in-stage waste (retries,
-/// losing speculative copies) and the abandoned attempts behind stage
-/// re-runs, so they reconcile with the simulator's `FaultStats`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FaultTrace {
-    /// Task attempts that failed and were retried.
-    pub retries: u64,
-    /// Speculative copies launched.
-    pub speculative_launches: u64,
-    /// Executors lost.
-    pub executor_losses: u64,
-    /// Driver-side unit re-runs after executor loss.
-    pub stage_reruns: u64,
-    /// Stages (or fused-unit pre-checks) rejected by memory admission.
-    pub mem_admission_rejects: u64,
-    /// Tightened-budget re-plans attempted by the memory-pressure ladder.
-    pub replans: u64,
-    /// Fused plans split in two by the memory-pressure ladder.
-    pub plan_splits: u64,
-    /// Fused units degraded to unfused per-operator execution.
-    pub unfused_fallbacks: u64,
-    /// Bytes charged that a fault-free run would not have charged.
-    pub wasted_bytes: u64,
-    /// FLOPs executed that a fault-free run would not have executed.
-    pub wasted_flops: u64,
-}
-
-impl FaultTrace {
-    /// Whether any recovery activity was recorded.
-    pub fn any(&self) -> bool {
-        *self != FaultTrace::default()
-    }
-}
-
-/// Replica-cache activity visible in a trace, counted from the executor's
-/// cache point events. `saved_bytes` is the consolidation traffic the hits
-/// avoided; it reconciles with the simulator's `CacheStats::saved_bytes`
-/// when one recording covers the cache's whole lifetime.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CacheTrace {
-    /// Consolidation shuffles skipped because valid replicas were resident.
-    pub hits: u64,
-    /// Consolidation shuffles charged (and the replica set admitted).
-    pub misses: u64,
-    /// Replica sets dropped by the LRU to fit the byte budget.
-    pub evictions: u64,
-    /// Replica sets dropped by a matrix version bump (driver write).
-    pub invalidations: u64,
-    /// Network bytes the hits avoided charging.
-    pub saved_bytes: u64,
-}
-
-impl CacheTrace {
-    /// Whether any cache activity was recorded.
-    pub fn any(&self) -> bool {
-        *self != CacheTrace::default()
-    }
-}
-
 /// Compact per-run summary of a recording.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TraceSummary {
@@ -180,10 +122,11 @@ pub struct TraceSummary {
     pub units: Vec<UnitTrace>,
     /// Number of recorded point events.
     pub events: usize,
-    /// Recovery activity, when the recording saw any. Absent — and
-    /// omitted-tolerant on deserialize — for fault-free recordings, so
-    /// pre-fault-tolerance summaries still parse.
-    pub faults: Option<FaultTrace>,
+    /// Recovery activity folded from the recorded events, when the
+    /// recording saw any. Absent — and omitted-tolerant on deserialize —
+    /// for fault-free recordings, so pre-fault-tolerance summaries still
+    /// parse.
+    pub faults: Option<FaultStats>,
     /// Replica-cache activity, when the recording saw any. Absent — and
     /// omitted-tolerant on deserialize — for cache-off (or cache-idle)
     /// recordings, so pre-cache summaries still parse.
@@ -253,68 +196,16 @@ pub fn summarize(rec: &Recorder) -> TraceSummary {
     };
 
     let mut totals = ActualCost::default();
-    let mut faults = FaultTrace::default();
     for s in spans.iter().filter(|s| s.kind == SpanKind::Stage) {
         fold(&mut totals, stage_cost(s));
-        faults.retries += attr_u64(s, keys::RETRIES).unwrap_or(0);
-        faults.speculative_launches += attr_u64(s, keys::SPECULATIVE).unwrap_or(0);
-        faults.wasted_bytes += attr_u64(s, keys::WASTED_BYTES).unwrap_or(0);
-        faults.wasted_flops += attr_u64(s, keys::WASTED_FLOPS).unwrap_or(0);
     }
-    let event_attr = |ev: &crate::EventRecord, key: &str| -> u64 {
-        ev.attrs
-            .iter()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, v)| v.as_u64())
-            .unwrap_or(0)
-    };
     let recorded_events = rec.events();
+    let mut faults = FaultStats::default();
     let mut cache = CacheTrace::default();
     for ev in &recorded_events {
-        match ev.name.as_str() {
-            crate::events::CACHE_HIT => {
-                cache.hits += 1;
-                cache.saved_bytes += event_attr(ev, keys::SAVED_BYTES);
-            }
-            crate::events::CACHE_MISS => cache.misses += 1,
-            crate::events::CACHE_EVICT => {
-                cache.evictions += event_attr(ev, keys::EVICTIONS).max(1);
-            }
-            crate::events::CACHE_INVALIDATE => cache.invalidations += 1,
-            _ => {}
-        }
-        match ev.name.as_str() {
-            crate::events::EXECUTOR_LOST => faults.executor_losses += 1,
-            crate::events::STAGE_RERUN => {
-                faults.stage_reruns += 1;
-                // The abandoned attempt's charges, reported on the re-run
-                // event by the driver (already net of in-stage waste the
-                // stage spans above carry).
-                faults.wasted_bytes += event_attr(ev, keys::WASTED_BYTES);
-                faults.wasted_flops += event_attr(ev, keys::WASTED_FLOPS);
-            }
-            crate::events::MEM_ADMISSION_REJECT => faults.mem_admission_rejects += 1,
-            // Ladder events carry the failed attempt's (net) waste, same
-            // convention as stage re-runs.
-            crate::events::REPLAN => {
-                faults.replans += 1;
-                faults.wasted_bytes += event_attr(ev, keys::WASTED_BYTES);
-                faults.wasted_flops += event_attr(ev, keys::WASTED_FLOPS);
-            }
-            crate::events::PLAN_SPLIT => {
-                faults.plan_splits += 1;
-                faults.wasted_bytes += event_attr(ev, keys::WASTED_BYTES);
-                faults.wasted_flops += event_attr(ev, keys::WASTED_FLOPS);
-            }
-            crate::events::UNFUSED_FALLBACK => {
-                faults.unfused_fallbacks += 1;
-                faults.wasted_bytes += event_attr(ev, keys::WASTED_BYTES);
-                faults.wasted_flops += event_attr(ev, keys::WASTED_FLOPS);
-            }
-            _ => {}
-        }
+        faults.count(&ev.event);
+        cache.count(&ev.event);
     }
-
     // Per-unit actuals: every stage span in the unit's subtree.
     let descendant_stages = |unit_idx: usize| -> ActualCost {
         let mut acc = ActualCost::default();
@@ -463,10 +354,15 @@ pub fn chrome_trace_json(rec: &Recorder) -> String {
     }
 
     for ev in rec.events() {
-        let mut args: BTreeMap<String, Value> = ev.attrs.iter().cloned().collect();
+        let mut args: BTreeMap<String, Value> = ev
+            .event
+            .attrs()
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect();
         args.insert("parent".into(), Value::U64(ev.parent.raw()));
         out.push(ChromeEvent {
-            name: ev.name.clone(),
+            name: ev.event.name().to_string(),
             cat: "event".into(),
             ph: "i".into(),
             ts: ev.ts_us,
@@ -583,7 +479,7 @@ pub fn predicted_vs_actual(summary: &TraceSummary) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{handle, install, uninstall};
+    use crate::{handle, install, uninstall, Event, Rejected, Waste};
 
     fn sample_recorder() -> std::sync::Arc<Recorder> {
         let rec = Recorder::new();
@@ -694,25 +590,33 @@ mod tests {
     fn summary_aggregates_fault_activity() {
         let rec = Recorder::new();
         install(&rec);
+        let waste = |bytes, flops| Waste { bytes, flops };
         {
             let st = handle().scope_span(SpanKind::Stage, || "stage-0".into());
             st.set(keys::PHASE, "consolidation");
             st.set(keys::BYTES, 300u64);
-            st.set(keys::RETRIES, 2u64);
-            st.set(keys::SPECULATIVE, 1u64);
-            st.set(keys::WASTED_BYTES, 120u64);
-            st.set(keys::WASTED_FLOPS, 50u64);
         }
-        handle().event(crate::events::EXECUTOR_LOST, || {
-            vec![(keys::STAGE_ID.to_string(), 0u64.into())]
-        });
-        handle().event(crate::events::STAGE_RERUN, || {
-            vec![
-                (keys::STAGE_ID.to_string(), 0u64.into()),
-                (keys::WASTED_BYTES.to_string(), 180u64.into()),
-                (keys::WASTED_FLOPS.to_string(), 70u64.into()),
-            ]
-        });
+        for ev in [
+            Event::TaskRetry {
+                stage: 0,
+                task: 1,
+                attempts: 3,
+                wasted: waste(80, 30),
+            },
+            Event::SpeculativeLaunch {
+                stage: 0,
+                task: 2,
+                wasted: waste(40, 20),
+            },
+            Event::ExecutorLost { stage: 0 },
+            Event::StageRerun {
+                stage: 0,
+                attempts: 2,
+                wasted: waste(180, 70),
+            },
+        ] {
+            handle().emit(ev);
+        }
         uninstall();
         let s = summarize(&rec);
         let f = s.faults.unwrap();
@@ -720,11 +624,15 @@ mod tests {
         assert_eq!(f.speculative_launches, 1);
         assert_eq!(f.executor_losses, 1);
         assert_eq!(f.stage_reruns, 1);
-        // Stage-span waste plus the re-run event's (net) waste.
+        // Every event's waste, each counted once.
         assert_eq!(f.wasted_bytes, 300);
         assert_eq!(f.wasted_flops, 120);
         let table = summary_table(&s);
         assert!(table.contains("stage re-runs"), "{table}");
+        // The chrome trace carries each event's attributes.
+        let json = chrome_trace_json(&rec);
+        assert!(json.contains("\"name\":\"speculative-launch\""), "{json}");
+        assert!(json.contains("\"winner\":\"speculative\""), "{json}");
         // Fault-free recordings omit the block entirely — and such
         // summaries round-trip with `faults` still absent.
         let clean = summarize(&sample_recorder());
@@ -738,26 +646,33 @@ mod tests {
     fn summary_aggregates_memory_pressure_events() {
         let rec = Recorder::new();
         install(&rec);
-        handle().event(crate::events::MEM_ADMISSION_REJECT, || {
-            vec![(keys::STAGE_ID.to_string(), 0u64.into())]
-        });
-        handle().event(crate::events::REPLAN, || {
-            vec![
-                (keys::ROOT.to_string(), 5u64.into()),
-                (keys::WASTED_BYTES.to_string(), 40u64.into()),
-                (keys::WASTED_FLOPS.to_string(), 10u64.into()),
-            ]
-        });
-        handle().event(crate::events::PLAN_SPLIT, || {
-            vec![(keys::ROOT.to_string(), 5u64.into())]
-        });
-        handle().event(crate::events::UNFUSED_FALLBACK, || {
-            vec![
-                (keys::ROOT.to_string(), 5u64.into()),
-                (keys::WASTED_BYTES.to_string(), 60u64.into()),
-                (keys::WASTED_FLOPS.to_string(), 20u64.into()),
-            ]
-        });
+        for ev in [
+            Event::MemAdmissionReject {
+                at: Rejected::Task { stage: 0, task: 0 },
+                peak_mem: 900,
+            },
+            Event::Replan {
+                root: 5,
+                headroom: 0.8,
+                wasted: Waste {
+                    bytes: 40,
+                    flops: 10,
+                },
+            },
+            Event::PlanSplit {
+                root: 5,
+                wasted: Waste::default(),
+            },
+            Event::UnfusedFallback {
+                root: 5,
+                wasted: Waste {
+                    bytes: 60,
+                    flops: 20,
+                },
+            },
+        ] {
+            handle().emit(ev);
+        }
         uninstall();
         let s = summarize(&rec);
         let f = s.faults.unwrap();
@@ -775,32 +690,39 @@ mod tests {
     fn summary_aggregates_cache_activity() {
         let rec = Recorder::new();
         install(&rec);
-        handle().event(crate::events::CACHE_HIT, || {
-            vec![
-                (keys::MATRIX_UID.to_string(), 7u64.into()),
-                (keys::SAVED_BYTES.to_string(), 640u64.into()),
-            ]
-        });
-        handle().event(crate::events::CACHE_MISS, || {
-            vec![
-                (keys::MATRIX_UID.to_string(), 7u64.into()),
-                (keys::BYTES.to_string(), 640u64.into()),
-            ]
-        });
-        handle().event(crate::events::CACHE_EVICT, || {
-            vec![(keys::EVICTIONS.to_string(), 3u64.into())]
-        });
-        handle().event(crate::events::CACHE_INVALIDATE, || {
-            vec![(keys::MATRIX_UID.to_string(), 7u64.into())]
-        });
+        for ev in [
+            Event::CacheHit {
+                root: 3,
+                matrix_uid: 7,
+                axis: 0,
+                pqr: (2, 2, 1),
+                saved_bytes: 640,
+            },
+            Event::CacheMiss {
+                root: 3,
+                matrix_uid: 7,
+                axis: 0,
+                pqr: (2, 2, 1),
+                bytes: 640,
+            },
+            Event::CacheEvict { evictions: 3 },
+            Event::CacheInvalidate {
+                matrix_uid: 7,
+                invalidations: 2,
+            },
+        ] {
+            handle().emit(ev);
+        }
         uninstall();
         let s = summarize(&rec);
         let c = s.cache.unwrap();
         assert_eq!(c.hits, 1);
         assert_eq!(c.misses, 1);
         assert_eq!(c.evictions, 3);
-        assert_eq!(c.invalidations, 1);
+        assert_eq!(c.invalidations, 2);
         assert_eq!(c.saved_bytes, 640);
+        // Cache events count no fault activity.
+        assert!(s.faults.is_none());
         let table = summary_table(&s);
         assert!(table.contains("replica cache"), "{table}");
         // Cache-idle recordings omit the block, and such summaries

@@ -33,6 +33,7 @@
 //! assert_eq!(rec.spans().len(), 1);
 //! ```
 
+pub mod event;
 pub mod export;
 
 use std::cell::RefCell;
@@ -42,13 +43,15 @@ use std::time::Instant;
 
 use serde::{Content, DeError, Deserialize, Serialize};
 
+pub use event::{CacheTrace, Event, FaultStats, Rejected, Waste};
 pub use export::{
-    chrome_trace_json, predicted_vs_actual, summarize, summary_table, ActualCost, CacheTrace,
-    FaultTrace, KindStat, Prediction, TraceSummary, UnitTrace,
+    chrome_trace_json, predicted_vs_actual, summarize, summary_table, ActualCost, KindStat,
+    Prediction, TraceSummary, UnitTrace,
 };
 
-/// Well-known attribute keys shared between the instrumentation sites and
-/// the exporters. Using the constants keeps producers and consumers in sync.
+/// Well-known span attribute keys shared between the instrumentation sites
+/// and the exporters. Using the constants keeps producers and consumers in
+/// sync.
 pub mod keys {
     /// Ledger phase of a stage: `"consolidation"` or `"aggregation"`.
     pub const PHASE: &str = "phase";
@@ -98,74 +101,13 @@ pub mod keys {
     /// FLOPs executed that an oracle (fault-free) run would not have
     /// executed.
     pub const WASTED_FLOPS: &str = "wasted_flops";
-    /// Attempts a task consumed (1 = first attempt succeeded).
-    pub const ATTEMPTS: &str = "attempts";
     /// Bounded-search outcome for an exec unit: `"feasible"` or
     /// `"infeasible-fell-back"` (finest partitioning despite exceeding
     /// the effective budget).
     pub const OPT_OUTCOME: &str = "opt_outcome";
-    /// Effective safety factor a memory-pressure re-plan searched under.
-    pub const HEADROOM: &str = "headroom";
     /// Minimum per-task budget θ_t under which a unit has a feasible
     /// partitioning.
     pub const MIN_THETA: &str = "min_theta_bytes";
-    /// Winner of a speculative race: `"speculative"` or `"original"`.
-    pub const WINNER: &str = "winner";
-    /// Process-unique matrix identity involved in a replica-cache event.
-    pub const MATRIX_UID: &str = "matrix_uid";
-    /// Structural model-space axis code of a cached input.
-    pub const AXIS: &str = "axis";
-    /// Consolidation bytes a replica-cache hit avoided shipping.
-    pub const SAVED_BYTES: &str = "saved_bytes";
-    /// Replica-cache hits observed by a fused unit's consolidation.
-    pub const CACHE_HITS: &str = "cache_hits";
-    /// Replica-cache misses observed by a fused unit's consolidation.
-    pub const CACHE_MISSES: &str = "cache_misses";
-    /// Replica sets evicted by the cache's LRU in one event's window.
-    pub const EVICTIONS: &str = "evictions";
-}
-
-/// Well-known event names emitted by the fault-tolerance layer.
-pub mod events {
-    /// A task attempt crashed and was retried (attrs: stage/task ids,
-    /// attempt count, wasted bytes/FLOPs).
-    pub const TASK_RETRY: &str = "task-retry";
-    /// A speculative copy of a straggling task launched (attrs: stage/task
-    /// ids, winner).
-    pub const SPECULATIVE_LAUNCH: &str = "speculative-launch";
-    /// The driver re-ran an exec unit after an executor loss (attrs: lost
-    /// stage id, re-run attempt, wasted bytes/FLOPs of the failed attempt).
-    pub const STAGE_RERUN: &str = "stage-rerun";
-    /// A stage's executor died (attrs: stage id).
-    pub const EXECUTOR_LOST: &str = "executor-lost";
-    /// Memory admission rejected a stage or fused-unit pre-check (attrs:
-    /// stage id, task id, declared peak memory).
-    pub const MEM_ADMISSION_REJECT: &str = "mem-admission-reject";
-    /// The memory-pressure ladder re-ran the bounded search against a
-    /// tightened budget (attrs: unit root, headroom factor, wasted
-    /// bytes/FLOPs of the failed attempt).
-    pub const REPLAN: &str = "replan";
-    /// The memory-pressure ladder split a fused plan in two (attrs: unit
-    /// root, wasted bytes/FLOPs of the failed attempt).
-    pub const PLAN_SPLIT: &str = "plan-split";
-    /// The memory-pressure ladder degraded a fused unit to unfused
-    /// per-operator execution (attrs: unit root, wasted bytes/FLOPs of
-    /// the failed attempt).
-    pub const UNFUSED_FALLBACK: &str = "unfused-fallback";
-    /// A fused unit's input had valid cuboid replicas resident: the
-    /// consolidation shuffle was skipped (attrs: matrix uid, axis, p/q/r,
-    /// saved bytes).
-    pub const CACHE_HIT: &str = "cache-hit";
-    /// A fused unit's input had no valid resident replicas: the shuffle was
-    /// charged and the replica set admitted (attrs: matrix uid, axis,
-    /// p/q/r, bytes).
-    pub const CACHE_MISS: &str = "cache-miss";
-    /// The replica cache evicted entries to fit its byte budget (attrs:
-    /// eviction count delta).
-    pub const CACHE_EVICT: &str = "cache-evict";
-    /// A driver write bumped a matrix version, invalidating its resident
-    /// replicas (attrs: matrix uid).
-    pub const CACHE_INVALIDATE: &str = "cache-invalidate";
 }
 
 /// Identifier of a recorded span; `SpanId::NONE` marks "no parent".
@@ -385,12 +327,10 @@ impl SpanRecord {
 pub struct EventRecord {
     /// Enclosing span (`SpanId::NONE` when none was active).
     pub parent: SpanId,
-    /// Event name.
-    pub name: String,
     /// Wall-clock timestamp, microseconds since the recorder was created.
     pub ts_us: u64,
-    /// Typed attributes.
-    pub attrs: Vec<(String, Value)>,
+    /// The event.
+    pub event: Event,
 }
 
 /// Sink for monotonically accumulated named counters.
@@ -489,13 +429,12 @@ impl Recorder {
         });
     }
 
-    fn add_event(&self, parent: SpanId, name: String, attrs: Vec<(String, Value)>) {
+    fn add_event(&self, parent: SpanId, event: Event) {
         let ts_us = self.now_us();
         self.lock().events.push(EventRecord {
             parent,
-            name,
             ts_us,
-            attrs,
+            event,
         });
     }
 
@@ -524,11 +463,6 @@ impl Recorder {
     /// Builds the per-run summary (see [`export::summarize`]).
     pub fn summary(&self) -> TraceSummary {
         export::summarize(self)
-    }
-
-    /// Renders the chrome://tracing JSON (see [`export::chrome_trace_json`]).
-    pub fn chrome_trace(&self) -> String {
-        export::chrome_trace_json(self)
     }
 }
 
@@ -639,11 +573,10 @@ impl Handle {
         }
     }
 
-    /// Records a point event under the current scoped span. The attribute
-    /// closure only runs when recording is enabled.
-    pub fn event(&self, name: &str, attrs: impl FnOnce() -> Vec<(String, Value)>) {
+    /// Records a point event under the current scoped span.
+    pub fn emit(&self, event: Event) {
         if let Some(rec) = &self.rec {
-            rec.add_event(current_span(), name.to_string(), attrs());
+            rec.add_event(current_span(), event);
         }
     }
 
@@ -723,7 +656,7 @@ mod tests {
         let g = h.scope_span(SpanKind::Stage, || panic!("name closure must not run"));
         assert_eq!(g.id(), SpanId::NONE);
         g.set("bytes", 1u64);
-        h.event("e", || panic!("attr closure must not run"));
+        h.emit(Event::ExecutorLost { stage: 0 });
         drop(g);
     }
 
@@ -780,7 +713,7 @@ mod tests {
         let rec = Recorder::new();
         install(&rec);
         let span = handle().scope_span(SpanKind::Plan, || "p".into());
-        handle().event("search", || vec![("evaluated".into(), Value::U64(17))]);
+        handle().emit(Event::CacheEvict { evictions: 17 });
         handle().counter("stages", 1.0);
         handle().counter("stages", 2.0);
         let expected_parent = span.id();
@@ -789,6 +722,8 @@ mod tests {
         let events = rec.events();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].parent, expected_parent);
+        assert_eq!(events[0].event.name(), "cache-evict");
+        assert_eq!(events[0].event.attrs(), vec![("evictions", Value::U64(17))]);
         assert_eq!(rec.counters().get("stages"), Some(&3.0));
     }
 

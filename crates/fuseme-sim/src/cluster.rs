@@ -96,12 +96,6 @@ impl ClusterConfig {
         self.nodes = nodes;
         self
     }
-
-    /// Returns a copy with a different per-task memory budget.
-    pub fn with_mem_per_task(mut self, bytes: u64) -> Self {
-        self.mem_per_task = bytes;
-        self
-    }
 }
 
 /// A running simulated cluster: configuration, communication ledger, and
@@ -130,7 +124,7 @@ impl Cluster {
             next_stage: AtomicU64::new(0),
             fault_plan: None,
             fault_tolerance: FaultToleranceConfig::default(),
-            faults: FaultLedger::new(),
+            faults: FaultLedger::default(),
             replica_cache: None,
         }
     }
@@ -193,7 +187,7 @@ impl Cluster {
 
     /// Snapshot of recovery-activity counters.
     pub fn fault_stats(&self) -> FaultStats {
-        self.faults.snapshot()
+        self.faults.stats()
     }
 
     /// Enables the cuboid replica cache with the given byte budget (or
@@ -221,7 +215,7 @@ impl Cluster {
         self.ledger.reset();
         *self.clock.lock() = SimClock::new();
         self.next_stage.store(0, Ordering::Relaxed);
-        self.faults.reset();
+        *self.faults.0.lock() = FaultStats::default();
         if let Some(cache) = &self.replica_cache {
             cache.clear();
         }

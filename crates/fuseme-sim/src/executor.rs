@@ -1,7 +1,7 @@
 //! Wave-based parallel stage executor.
 
 use crossbeam::channel;
-use fuseme_obs::{events, keys, SpanKind};
+use fuseme_obs::{keys, Event, Rejected, SpanKind, Waste};
 
 use crate::cluster::Cluster;
 use crate::ledger::Phase;
@@ -91,13 +91,12 @@ pub fn run_stage<'a, T: Send + 'a>(
     // 1. Memory admission.
     for t in &tasks {
         if t.mem_bytes > config.mem_per_task {
-            cluster.fault_ledger().record_mem_admission_reject();
-            obs.event(events::MEM_ADMISSION_REJECT, || {
-                vec![
-                    (keys::STAGE_ID.to_string(), stage_id.into()),
-                    (keys::TASK_ID.to_string(), (t.task_id as u64).into()),
-                    (keys::PEAK_MEM.to_string(), t.mem_bytes.into()),
-                ]
+            cluster.fault_ledger().emit(Event::MemAdmissionReject {
+                at: Rejected::Task {
+                    stage: stage_id,
+                    task: t.task_id as u64,
+                },
+                peak_mem: t.mem_bytes,
             });
             return Err(SimError::OutOfMemory {
                 task: t.task_id,
@@ -233,40 +232,32 @@ pub fn run_stage<'a, T: Send + 'a>(
     span.set(keys::BYTES, total_bytes);
     span.set(keys::FLOPS, total_flops);
     if total_retries > 0 || !spec_launches.is_empty() {
-        let faults = cluster.fault_ledger();
-        faults.record_retries(total_retries);
-        faults.add_wasted(wasted_bytes, wasted_flops);
         span.set(keys::RETRIES, total_retries);
         span.set(keys::SPECULATIVE, spec_launches.len() as u64);
         span.set(keys::WASTED_BYTES, wasted_bytes);
         span.set(keys::WASTED_FLOPS, wasted_flops);
-        for (i, &c) in crashes.iter().enumerate() {
-            if c > 0 {
-                obs.event(events::TASK_RETRY, || {
-                    vec![
-                        (keys::STAGE_ID.to_string(), stage_id.into()),
-                        (keys::TASK_ID.to_string(), (tasks[i].task_id as u64).into()),
-                        (keys::ATTEMPTS.to_string(), (c as u64 + 1).into()),
-                        (
-                            keys::WASTED_BYTES.to_string(),
-                            (costs[i].recv_bytes * c as u64).into(),
-                        ),
-                        (
-                            keys::WASTED_FLOPS.to_string(),
-                            (costs[i].flops * c as u64).into(),
-                        ),
-                    ]
-                });
-            }
+        // One event per retried task and per speculative copy; together
+        // they carry exactly the stage's wasted work.
+        let faults = cluster.fault_ledger();
+        for (i, &c) in crashes.iter().enumerate().filter(|(_, &c)| c > 0) {
+            faults.emit(Event::TaskRetry {
+                stage: stage_id,
+                task: tasks[i].task_id as u64,
+                attempts: u64::from(c) + 1,
+                wasted: Waste {
+                    bytes: costs[i].recv_bytes * u64::from(c),
+                    flops: costs[i].flops * u64::from(c),
+                },
+            });
         }
         for &i in &spec_launches {
-            faults.record_speculative_launch();
-            obs.event(events::SPECULATIVE_LAUNCH, || {
-                vec![
-                    (keys::STAGE_ID.to_string(), stage_id.into()),
-                    (keys::TASK_ID.to_string(), (tasks[i].task_id as u64).into()),
-                    (keys::WINNER.to_string(), "speculative".into()),
-                ]
+            faults.emit(Event::SpeculativeLaunch {
+                stage: stage_id,
+                task: tasks[i].task_id as u64,
+                wasted: Waste {
+                    bytes: costs[i].recv_bytes,
+                    flops: costs[i].flops,
+                },
             });
         }
     }
@@ -325,10 +316,9 @@ pub fn run_stage<'a, T: Send + 'a>(
     // The executor died after the stage's work (charged above) completed
     // but before its outputs could be consumed; the driver may re-run.
     if executor_lost {
-        cluster.fault_ledger().record_executor_loss();
-        obs.event(events::EXECUTOR_LOST, || {
-            vec![(keys::STAGE_ID.to_string(), stage_id.into())]
-        });
+        cluster
+            .fault_ledger()
+            .emit(Event::ExecutorLost { stage: stage_id });
         return Err(SimError::ExecutorLost { stage: stage_id });
     }
 

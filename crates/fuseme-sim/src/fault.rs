@@ -23,8 +23,9 @@
 //! driver's memory-pressure recovery ladder (re-plan → split → unfused)
 //! can absorb when [`FaultToleranceConfig::memory_recovery`] is armed.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
+use fuseme_obs::Event;
+pub use fuseme_obs::FaultStats;
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 /// What kind of perturbation a [`FaultSpec`] injects.
@@ -162,14 +163,6 @@ impl FaultPlan {
         self.with(FaultSpec {
             kind: FaultKind::ExecutorLoss,
             scope: FaultScope::Targeted { stage, task: 0 },
-        })
-    }
-
-    /// Kills each stage's executor independently with probability `rate`.
-    pub fn with_executor_loss_rate(self, rate: f64) -> Self {
-        self.with(FaultSpec {
-            kind: FaultKind::ExecutorLoss,
-            scope: FaultScope::Rate(rate),
         })
     }
 
@@ -364,156 +357,26 @@ impl FaultToleranceConfig {
     }
 }
 
-/// Thread-safe counters of recovery activity and wasted work.
+/// Recovery activity and wasted work of a cluster: the [`FaultStats`]
+/// counted from every fault [`Event`] emitted against it.
 ///
-/// *Wasted* bytes/FLOPs are charges an oracle (fault-free) run would not
-/// have made: re-consolidation for retried attempts, the losing copy of a
-/// speculative race, and the charges of a unit attempt thrown away by an
-/// executor loss. Wasted bytes also flow into the [`crate::CommLedger`]
-/// (recovery traffic is real traffic), so for a completed run
-/// `ledger total == oracle total + wasted_bytes`.
+/// [`FaultLedger::emit`] is the one way a fault, recovery or wasted charge
+/// enters the counters, and it records the same event in the trace, so a
+/// trace covering a cluster's whole life folds back to exactly
+/// [`crate::Cluster::fault_stats`].
 #[derive(Debug, Default)]
-pub struct FaultLedger {
-    retries: AtomicU64,
-    speculative_launches: AtomicU64,
-    executor_losses: AtomicU64,
-    stage_reruns: AtomicU64,
-    mem_admission_rejects: AtomicU64,
-    replans: AtomicU64,
-    plan_splits: AtomicU64,
-    unfused_fallbacks: AtomicU64,
-    wasted_bytes: AtomicU64,
-    wasted_flops: AtomicU64,
-}
-
-/// A point-in-time copy of [`FaultLedger`] counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FaultStats {
-    /// Task attempts that failed and were retried.
-    pub retries: u64,
-    /// Speculative copies launched.
-    pub speculative_launches: u64,
-    /// Executors lost.
-    pub executor_losses: u64,
-    /// Driver-side unit re-runs after executor loss.
-    pub stage_reruns: u64,
-    /// Stages (or fused-unit pre-checks) rejected by memory admission.
-    pub mem_admission_rejects: u64,
-    /// Tightened-budget re-plans attempted by the memory-pressure ladder.
-    pub replans: u64,
-    /// Fused plans split in two by the memory-pressure ladder.
-    pub plan_splits: u64,
-    /// Fused units degraded to unfused per-operator execution.
-    pub unfused_fallbacks: u64,
-    /// Bytes charged that an oracle run would not have charged.
-    pub wasted_bytes: u64,
-    /// FLOPs executed that an oracle run would not have executed.
-    pub wasted_flops: u64,
-}
-
-impl FaultStats {
-    /// Whether any recovery activity was recorded.
-    pub fn any(&self) -> bool {
-        *self != FaultStats::default()
-    }
-
-    /// Difference against an earlier snapshot.
-    pub fn since(&self, earlier: &FaultStats) -> FaultStats {
-        FaultStats {
-            retries: self.retries - earlier.retries,
-            speculative_launches: self.speculative_launches - earlier.speculative_launches,
-            executor_losses: self.executor_losses - earlier.executor_losses,
-            stage_reruns: self.stage_reruns - earlier.stage_reruns,
-            mem_admission_rejects: self.mem_admission_rejects - earlier.mem_admission_rejects,
-            replans: self.replans - earlier.replans,
-            plan_splits: self.plan_splits - earlier.plan_splits,
-            unfused_fallbacks: self.unfused_fallbacks - earlier.unfused_fallbacks,
-            wasted_bytes: self.wasted_bytes - earlier.wasted_bytes,
-            wasted_flops: self.wasted_flops - earlier.wasted_flops,
-        }
-    }
-}
+pub struct FaultLedger(pub(crate) Mutex<FaultStats>);
 
 impl FaultLedger {
-    /// Creates a zeroed ledger.
-    pub fn new() -> Self {
-        FaultLedger::default()
-    }
-
-    /// Records `n` failed-and-retried task attempts.
-    pub fn record_retries(&self, n: u64) {
-        self.retries.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records one speculative copy launch.
-    pub fn record_speculative_launch(&self) {
-        self.speculative_launches.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one executor loss.
-    pub fn record_executor_loss(&self) {
-        self.executor_losses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one driver-side stage re-run.
-    pub fn record_stage_rerun(&self) {
-        self.stage_reruns.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one memory-admission rejection.
-    pub fn record_mem_admission_reject(&self) {
-        self.mem_admission_rejects.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one tightened-budget re-plan.
-    pub fn record_replan(&self) {
-        self.replans.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one fused-plan split.
-    pub fn record_plan_split(&self) {
-        self.plan_splits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one fused-to-unfused fallback.
-    pub fn record_unfused_fallback(&self) {
-        self.unfused_fallbacks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Adds wasted bytes and FLOPs.
-    pub fn add_wasted(&self, bytes: u64, flops: u64) {
-        self.wasted_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.wasted_flops.fetch_add(flops, Ordering::Relaxed);
+    /// Counts `event` (see [`FaultStats::count`]), then traces it.
+    pub fn emit(&self, event: Event) {
+        self.0.lock().count(&event);
+        fuseme_obs::handle().emit(event);
     }
 
     /// Current counters.
-    pub fn snapshot(&self) -> FaultStats {
-        FaultStats {
-            retries: self.retries.load(Ordering::Relaxed),
-            speculative_launches: self.speculative_launches.load(Ordering::Relaxed),
-            executor_losses: self.executor_losses.load(Ordering::Relaxed),
-            stage_reruns: self.stage_reruns.load(Ordering::Relaxed),
-            mem_admission_rejects: self.mem_admission_rejects.load(Ordering::Relaxed),
-            replans: self.replans.load(Ordering::Relaxed),
-            plan_splits: self.plan_splits.load(Ordering::Relaxed),
-            unfused_fallbacks: self.unfused_fallbacks.load(Ordering::Relaxed),
-            wasted_bytes: self.wasted_bytes.load(Ordering::Relaxed),
-            wasted_flops: self.wasted_flops.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Resets every counter to zero.
-    pub fn reset(&self) {
-        self.retries.store(0, Ordering::Relaxed);
-        self.speculative_launches.store(0, Ordering::Relaxed);
-        self.executor_losses.store(0, Ordering::Relaxed);
-        self.stage_reruns.store(0, Ordering::Relaxed);
-        self.mem_admission_rejects.store(0, Ordering::Relaxed);
-        self.replans.store(0, Ordering::Relaxed);
-        self.plan_splits.store(0, Ordering::Relaxed);
-        self.unfused_fallbacks.store(0, Ordering::Relaxed);
-        self.wasted_bytes.store(0, Ordering::Relaxed);
-        self.wasted_flops.store(0, Ordering::Relaxed);
+    pub fn stats(&self) -> FaultStats {
+        *self.0.lock()
     }
 }
 
@@ -654,27 +517,31 @@ mod tests {
 
     #[test]
     fn ledger_counts_and_resets() {
-        let l = FaultLedger::new();
-        l.record_retries(2);
-        l.record_speculative_launch();
-        l.record_executor_loss();
-        l.record_stage_rerun();
-        l.record_mem_admission_reject();
-        l.record_replan();
-        l.record_replan();
-        l.record_plan_split();
-        l.record_unfused_fallback();
-        l.add_wasted(100, 2000);
-        let s = l.snapshot();
+        let cluster = crate::Cluster::new(crate::ClusterConfig::test_small());
+        let l = cluster.fault_ledger();
+        let wasted = fuseme_obs::Waste {
+            bytes: 50,
+            flops: 1000,
+        };
+        l.emit(Event::TaskRetry {
+            stage: 0,
+            task: 0,
+            attempts: 3,
+            wasted,
+        });
+        l.emit(Event::SpeculativeLaunch {
+            stage: 0,
+            task: 1,
+            wasted,
+        });
+        l.emit(Event::ExecutorLost { stage: 0 });
+        l.emit(Event::CacheEvict { evictions: 4 });
+        let s = l.stats();
         assert!(s.any());
         assert_eq!(s.retries, 2);
         assert_eq!(s.speculative_launches, 1);
         assert_eq!(s.executor_losses, 1);
-        assert_eq!(s.stage_reruns, 1);
-        assert_eq!(s.mem_admission_rejects, 1);
-        assert_eq!(s.replans, 2);
-        assert_eq!(s.plan_splits, 1);
-        assert_eq!(s.unfused_fallbacks, 1);
+        assert_eq!(s.stage_reruns, 0);
         assert_eq!(s.wasted_bytes, 100);
         assert_eq!(s.wasted_flops, 2000);
         let earlier = FaultStats {
@@ -682,8 +549,8 @@ mod tests {
             ..FaultStats::default()
         };
         assert_eq!(s.since(&earlier).retries, 1);
-        l.reset();
-        assert!(!l.snapshot().any());
+        cluster.reset();
+        assert!(!cluster.fault_stats().any());
     }
 
     #[test]

@@ -37,7 +37,6 @@ pub mod fault;
 pub mod ledger;
 pub mod partitioner;
 pub mod replica_cache;
-pub mod shuffle;
 pub mod time;
 
 pub use cluster::{Cluster, ClusterConfig};

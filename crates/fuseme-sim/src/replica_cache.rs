@@ -245,8 +245,9 @@ impl ReplicaCache {
     }
 
     /// Bumps the version of `matrix` (a driver write replaced its value),
-    /// invalidating every resident replica set of the old version.
-    pub fn bump_version(&self, matrix: u64) {
+    /// invalidating every resident replica set of the old version. Returns
+    /// how many replica sets it dropped.
+    pub fn bump_version(&self, matrix: u64) -> u64 {
         let mut g = self.inner.lock();
         let v = g.versions.entry(matrix).or_insert(0);
         *v += 1;
@@ -256,12 +257,15 @@ impl ReplicaCache {
             .filter(|k| k.matrix == matrix)
             .copied()
             .collect();
+        let mut dropped = 0;
         for k in stale {
             if let Some(e) = g.entries.remove(&k) {
                 g.used -= e.bytes;
-                g.invalidations += 1;
+                dropped += 1;
             }
         }
+        g.invalidations += dropped;
+        dropped
     }
 
     /// Snapshot of activity counters and residency.
@@ -347,12 +351,17 @@ mod tests {
     fn version_bump_invalidates() {
         let c = ReplicaCache::new(1000);
         c.admit(1, 0, PQR, 400);
-        c.bump_version(1);
+        c.admit(1, 1, PQR, 100);
+        assert_eq!(c.bump_version(1), 2);
         assert!(!c.contains(1, 0, PQR));
         assert_eq!(c.admit(1, 0, PQR, 400), CacheOutcome::MissInserted);
         let s = c.stats();
-        assert_eq!(s.invalidations, 1);
-        assert_eq!(s.misses, 2);
+        assert_eq!(s.invalidations, 2);
+        assert_eq!(s.misses, 3);
+        // The re-admitted replica goes with the next bump; a bump with
+        // nothing resident drops none.
+        assert_eq!(c.bump_version(1), 1);
+        assert_eq!(c.bump_version(1), 0);
     }
 
     #[test]

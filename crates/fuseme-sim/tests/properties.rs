@@ -185,13 +185,14 @@ proptest! {
     /// exceeds its byte budget, and the counters reconcile against a
     /// replay of the returned outcomes: `saved_bytes` is exactly the sum
     /// of hit bytes — a hit-evict-miss cycle recharges the shuffle
-    /// exactly once, never discounts it twice.
+    /// exactly once, never discounts it twice — and `invalidations` the
+    /// sum of the replica sets each version bump reported dropping.
     #[test]
     fn replica_cache_budget_and_accounting_laws(ops in cache_ops(10_000)) {
         use fuseme_sim::ReplicaCache;
         let budget = 10_000;
         let cache = ReplicaCache::new(budget);
-        let (mut hits, mut misses, mut saved) = (0u64, 0u64, 0u64);
+        let (mut hits, mut misses, mut saved, mut invalidated) = (0u64, 0u64, 0u64, 0u64);
         for op in ops {
             match op {
                 CacheOp::Admit(m, a, g, b) => {
@@ -204,7 +205,7 @@ proptest! {
                         misses += 1;
                     }
                 }
-                CacheOp::Bump(m) => cache.bump_version(m),
+                CacheOp::Bump(m) => invalidated += cache.bump_version(m),
             }
             prop_assert!(
                 cache.resident_bytes() <= budget,
@@ -216,6 +217,7 @@ proptest! {
         prop_assert_eq!(stats.hits, hits);
         prop_assert_eq!(stats.misses, misses);
         prop_assert_eq!(stats.saved_bytes, saved);
+        prop_assert_eq!(stats.invalidations, invalidated);
         prop_assert_eq!(stats.resident_bytes, cache.resident_bytes());
     }
 
@@ -231,7 +233,9 @@ proptest! {
                 CacheOp::Admit(m, a, g, b) => {
                     cache.admit(m, a, grid(g), b);
                 }
-                CacheOp::Bump(m) => cache.bump_version(m),
+                CacheOp::Bump(m) => {
+                    cache.bump_version(m);
+                }
             }
         }
         cache.bump_version(victim);
@@ -253,7 +257,7 @@ proptest! {
         let budget = 10_000;
         let cache = ReplicaCache::new(budget);
         let bytes = budget - filler + 1; // guarantees filler forces eviction
-        assert!(cache.admit(7, 0, grid(0), bytes).is_hit() == false);
+        prop_assert!(!cache.admit(7, 0, grid(0), bytes).is_hit());
         prop_assert!(cache.admit(7, 0, grid(0), bytes).is_hit());
         // Fill past the budget with a different matrix: victim evicted.
         cache.admit(8, 0, grid(1), filler);

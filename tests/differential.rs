@@ -295,12 +295,14 @@ fn gnmf_run_of(
     s.set_replica_cache(cache_budget);
     s.set_fault_tolerance(FaultToleranceConfig::resilient());
     s.set_fault_plan(fault_plan);
+    s.enable_tracing();
     g.bind_inputs(&mut s, 13).expect("generate inputs");
     let mut pqr_choices = Vec::new();
     for _ in 0..iters {
         let report = g.iterate(&mut s).expect("iteration must complete");
         pqr_choices.extend(report.stats.pqr_choices);
     }
+    assert_trace_reconciles(&s);
     let cluster = s.engine().cluster();
     let stats = fuseme_exec::driver::EngineStats {
         comm: cluster.comm(),
@@ -312,6 +314,34 @@ fn gnmf_run_of(
         ..fuseme_exec::driver::EngineStats::default()
     };
     RunSummary::completed("FuseME", &stats)
+}
+
+/// A trace covering a session's whole life folds back to exactly its live
+/// fault and replica-cache counters: every occurrence is one event, counted
+/// once by the ledger and once by the trace fold.
+fn assert_trace_reconciles(s: &Session) {
+    let trace = s.trace_summary().expect("tracing is on");
+    let faults = s.fault_stats();
+    assert_eq!(trace.faults, faults.any().then_some(faults));
+    let cache = s.cache_stats().filter(|c| c.any()).map(|c| {
+        (
+            c.hits,
+            c.misses,
+            c.evictions,
+            c.invalidations,
+            c.saved_bytes,
+        )
+    });
+    let traced = trace.cache.map(|c| {
+        (
+            c.hits,
+            c.misses,
+            c.evictions,
+            c.invalidations,
+            c.saved_bytes,
+        )
+    });
+    assert_eq!(traced, cache);
 }
 
 /// [`gnmf_run_of`] on the default half-dense fixture.
@@ -397,6 +427,10 @@ fn ledger_reconciles_against_oracle_in_both_cache_postures() {
         assert_eq!(faulted.status, RunStatus::Completed);
         let f = faulted.faults.expect("fault plan must cause recovery work");
         assert!(f.retries > 0, "{posture}: no retry ever fired");
+        assert!(
+            f.speculative_launches > 0,
+            "{posture}: no speculative copy ever launched"
+        );
         assert!(oracle.faults.is_none(), "{posture}: oracle saw faults");
         // Fault injection never changes planning.
         assert_eq!(oracle.pqr, faulted.pqr, "{posture}: faults changed (P,Q,R)");
