@@ -14,11 +14,13 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use fuseme::prelude::*;
 use fuseme::session::Session;
+use fuseme_exec::{KernelCtx, LocalStore, PlanRoles};
 use fuseme_fusion::cost::CostModel;
 use fuseme_fusion::folded::Folded;
 use fuseme_fusion::gen_like::GenLike;
 use fuseme_fusion::optimizer::{optimize, optimize_exhaustive};
 use fuseme_fusion::space::SpaceTree;
+use fuseme_plan::OpKind;
 use fuseme_workloads::gnmf::Gnmf;
 use fuseme_workloads::nmf::SimpleNmf;
 
@@ -132,8 +134,43 @@ fn table1_kernels(c: &mut Criterion) {
     let b = gen::dense_uniform(256, 256, 64, 0.0, 1.0, 2).unwrap();
     let s = gen::sparse_uniform(256, 256, 64, 0.02, 0.0, 1.0, 3).unwrap();
 
+    // One fused NMF kernel on a 40×40 output block with X at density 0.2
+    // and two 40-wide k-blocks: nmf-dense's per-block work.
+    let nmf = SimpleNmf {
+        rows: 40,
+        cols: 40,
+        k: 80,
+        block_size: 40,
+        density: 0.2,
+    };
+    let nmf_dag = nmf.dag();
+    let nmf_root = nmf_dag.roots()[0];
+    let nmf_ops = nmf_dag
+        .nodes()
+        .iter()
+        .filter(|n| !n.kind.is_leaf())
+        .map(|n| n.id)
+        .collect();
+    let nmf_roles = PlanRoles::new(&nmf_dag, &PartialPlan::new(nmf_ops, nmf_root));
+    let nmf_inputs = nmf.generate(1).unwrap();
+    let mut nmf_store = LocalStore::new();
+    for n in nmf_dag.nodes() {
+        if let OpKind::Input { name } = &n.kind {
+            for (bi, bj, blk) in nmf_inputs[name].iter_blocks() {
+                nmf_store.insert(n.id, (bi, bj), std::sync::Arc::clone(blk));
+            }
+        }
+    }
+
     let mut group = c.benchmark_group("table1_kernels");
     group.bench_function("dense_gemm_256", |bch| bch.iter(|| a.matmul(&b).unwrap()));
+    group.bench_function("fused_nmf_block_40", |bch| {
+        bch.iter(|| {
+            KernelCtx::new(&nmf_dag, &nmf_roles, 0..2, &nmf_store)
+                .eval(nmf_root, 0, 0)
+                .unwrap()
+        })
+    });
     group.bench_function("sparse_dense_gemm_256", |bch| {
         bch.iter(|| s.matmul(&b).unwrap())
     });

@@ -18,6 +18,19 @@
 //!   non-zero at all; empty-gated blocks are skipped entirely, which is the
 //!   block-level form of the paper's sparsity exploitation.
 //!
+//! Within a block, sparsity is exploited cell by cell (paper Fig. 1(a),
+//! SystemML's Outer template). [`PlanRoles`] gives a zero-dominant product
+//! (`*`) a *driver* when one operand has no multiplication under it — an
+//! external leaf like `X` in NMF, or an in-plan operator like `(X != 0)` in
+//! the ALS loss — and the other has one and is not memoized. When `eval`
+//! reaches such a product and the driver's block is CSR, the other operand
+//! is *sampled*: its sub-plan is evaluated only at the driver's stored
+//! cells, down to a sampled dot product per cell at the multiplication
+//! ([`Block::gemm_sampled_acc`]). The product keeps exactly the driver's
+//! pattern, with every value bit-identical to the block path's for finite
+//! data. A dense driver block, a zero product, and a stage-1 partial of a
+//! two-stage run take the block path.
+//!
 //! How the recursion treats each node is fixed once per plan by its
 //! [`PlanRoles`], shared by every task of the operator:
 //!
@@ -43,7 +56,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use fuseme_fusion::PartialPlan;
-use fuseme_matrix::{Block, DenseBlock};
+use fuseme_matrix::{BinOp, Block, DenseBlock, SparseBlock};
 use fuseme_plan::{NodeId, OpKind, QueryDag};
 use fuseme_sim::SimError;
 
@@ -145,18 +158,24 @@ pub(crate) enum Role {
     },
 }
 
-/// The role of every node for one fused plan, plus the plan's main
-/// multiplication. Built once per operator and shared by all its tasks.
+/// The role of every node for one fused plan, the plan's main
+/// multiplication, and the driver of each sampled product. Built once per
+/// operator and shared by all its tasks.
 #[derive(Debug, Clone)]
 pub struct PlanRoles {
     roles: Vec<Role>,
     main_mm: Option<NodeId>,
+    /// For each zero-dominant product that can be sampled, the input slot
+    /// (0 = left, 1 = right) of its driver.
+    drivers: Vec<Option<usize>>,
 }
 
 impl PlanRoles {
     /// Assigns roles for `plan`: members are operators, memoized when an
     /// in-plan multiplication reads them or when they feed two or more
-    /// in-plan input slots.
+    /// in-plan input slots. A zero-dominant product gets a driver when one
+    /// operand has no multiplication under it and the other has one and is
+    /// not memoized.
     pub fn new(dag: &QueryDag, plan: &PartialPlan) -> Self {
         let mut roles: Vec<Role> = dag
             .nodes()
@@ -179,9 +198,31 @@ impl PlanRoles {
                 }
             }
         }
+        // Node ids are topological, so one ascending pass sees every
+        // member's inputs before the member itself.
+        let mut has_mm = vec![false; roles.len()];
+        let mut drivers = vec![None; roles.len()];
+        for &op in &plan.ops {
+            let n = dag.node(op);
+            has_mm[op] = n.kind.is_matmul() || n.inputs.iter().any(|&i| has_mm[i]);
+            if let (OpKind::Binary(bop), &[l, r]) = (&n.kind, n.inputs.as_slice()) {
+                let driver = match (has_mm[l], has_mm[r]) {
+                    (false, true) => Some(0),
+                    (true, false) => Some(1),
+                    _ => None,
+                };
+                drivers[op] = driver.filter(|&d| {
+                    let (gate, other) = (n.inputs[d], n.inputs[1 - d]);
+                    bop.zero_dominant()
+                        && !matches!(roles[gate], Role::Scalar(_))
+                        && roles[other] == Role::Op { memo: false }
+                });
+            }
+        }
         PlanRoles {
             roles,
             main_mm: plan.main_matmul(dag),
+            drivers,
         }
     }
 
@@ -190,6 +231,38 @@ impl PlanRoles {
         self.roles[node]
     }
 }
+
+/// The cells a sampled evaluation computes: the stored entries of a CSR
+/// driver block, in storage order, with each cell's coordinates swapped
+/// under an odd number of transposes.
+#[derive(Clone, Copy)]
+struct Cells<'p> {
+    pattern: &'p SparseBlock,
+    transposed: bool,
+}
+
+impl Cells<'_> {
+    fn len(&self) -> usize {
+        self.pattern.nnz()
+    }
+
+    /// The value of `block` at every cell.
+    fn gather(&self, block: &Block) -> Vec<f64> {
+        self.pattern
+            .iter()
+            .map(|(r, c, _)| {
+                if self.transposed {
+                    block.get(c, r)
+                } else {
+                    block.get(r, c)
+                }
+            })
+            .collect()
+    }
+}
+
+/// One k-term of a multiplication: its left and right operand blocks.
+type Term = (Arc<Block>, Arc<Block>);
 
 /// Evaluation context for one task's kernels.
 pub struct KernelCtx<'a> {
@@ -204,6 +277,9 @@ pub struct KernelCtx<'a> {
     mm_override: Option<&'a HashMap<(usize, usize), Arc<Block>>>,
     /// Values of operators whose role says `memo`.
     memo: CoordMap<(NodeId, usize, usize), Arc<Block>>,
+    /// Blocks produced by sampled evaluation.
+    #[cfg(test)]
+    sampled: usize,
 }
 
 impl<'a> KernelCtx<'a> {
@@ -223,6 +299,8 @@ impl<'a> KernelCtx<'a> {
             store,
             mm_override: None,
             memo: CoordMap::default(),
+            #[cfg(test)]
+            sampled: 0,
         }
     }
 
@@ -314,11 +392,14 @@ impl<'a> KernelCtx<'a> {
                         let x = self.eval(l_id, bi, bj)?;
                         x.zip_scalar(s, *op)
                     }
-                    (None, None) => {
-                        let l = self.eval(l_id, bi, bj)?;
-                        let r = self.eval(r_id, bi, bj)?;
-                        l.zip(&r, *op)?
-                    }
+                    (None, None) => match self.roles.drivers[node] {
+                        Some(d) => return self.gated_product(*op, [l_id, r_id], d, bi, bj),
+                        None => {
+                            let l = self.eval(l_id, bi, bj)?;
+                            let r = self.eval(r_id, bi, bj)?;
+                            l.zip(&r, *op)?
+                        }
+                    },
                     (Some(_), Some(_)) => {
                         return Err(SimError::Task(
                             "binary over two scalars inside a kernel".into(),
@@ -331,23 +412,8 @@ impl<'a> KernelCtx<'a> {
                 x.transpose()
             }
             OpKind::MatMul => {
-                let (l_id, r_id) = (n.inputs[0], n.inputs[1]);
-                let ks = self.mm_k_range(node);
                 let (rows, cols) = self.block_dims(node, bi, bj);
-                // Collect the k-terms with support on both sides (absent
-                // sparse blocks contribute nothing).
-                let mut terms = Vec::new();
-                for k in ks {
-                    let Some(l) = self.operand(l_id, bi, k) else {
-                        continue;
-                    };
-                    let Some(r) = self.operand(r_id, k, bj) else {
-                        continue;
-                    };
-                    let l = l.map_or_else(|| self.eval(l_id, bi, k), Ok)?;
-                    let r = r.map_or_else(|| self.eval(r_id, k, bj), Ok)?;
-                    terms.push((l, r));
-                }
+                let terms = self.mm_terms(node, bi, bj)?;
                 match terms.as_slice() {
                     [] => Block::zero(rows, cols),
                     // A single-term product goes through the format-aware
@@ -373,6 +439,170 @@ impl<'a> KernelCtx<'a> {
             }
         };
         Ok(Arc::new(value))
+    }
+
+    /// The k-terms of multiplication `mm` at `(bi, bj)` with support on
+    /// both sides, in ascending `k` (absent sparse blocks contribute
+    /// nothing).
+    fn mm_terms(&mut self, mm: NodeId, bi: usize, bj: usize) -> Result<Vec<Term>, SimError> {
+        let n = self.dag.node(mm);
+        let (l_id, r_id) = (n.inputs[0], n.inputs[1]);
+        let mut terms = Vec::new();
+        for k in self.mm_k_range(mm) {
+            let Some(l) = self.operand(l_id, bi, k) else {
+                continue;
+            };
+            let Some(r) = self.operand(r_id, k, bj) else {
+                continue;
+            };
+            let l = l.map_or_else(|| self.eval(l_id, bi, k), Ok)?;
+            let r = r.map_or_else(|| self.eval(r_id, k, bj), Ok)?;
+            terms.push((l, r));
+        }
+        Ok(terms)
+    }
+
+    /// A zero-dominant product with a driver (see [`PlanRoles`]). The
+    /// driver's block is evaluated once; when it is CSR, the other operand
+    /// is sampled at its stored cells and the product keeps exactly the
+    /// driver's pattern, as `SparseBlock::mul_dense` would build it.
+    /// Otherwise — a dense driver block, or a zero product, which the block
+    /// path stores or drops depending on the other operand's format — both
+    /// operands are evaluated as blocks.
+    fn gated_product(
+        &mut self,
+        op: BinOp,
+        inputs: [NodeId; 2],
+        d: usize,
+        bi: usize,
+        bj: usize,
+    ) -> Result<Arc<Block>, SimError> {
+        let gate = self.eval(inputs[d], bi, bj)?;
+        if let Block::Sparse(pattern) = gate.as_ref() {
+            let cells = Cells {
+                pattern,
+                transposed: false,
+            };
+            let mut values = self.sample(inputs[1 - d], bi, bj, cells)?;
+            for (v, &g) in values.iter_mut().zip(pattern.values()) {
+                *v = if d == 0 {
+                    op.apply(g, *v)
+                } else {
+                    op.apply(*v, g)
+                };
+            }
+            if !values.contains(&0.0) {
+                #[cfg(test)]
+                {
+                    self.sampled += 1;
+                }
+                return Ok(Arc::new(Block::Sparse(pattern.with_values(values)?)));
+            }
+        }
+        let other = self.eval(inputs[1 - d], bi, bj)?;
+        let (l, r) = if d == 0 {
+            (&gate, &other)
+        } else {
+            (&other, &gate)
+        };
+        Ok(Arc::new(l.zip(r, op)?))
+    }
+
+    /// The values of operator `node` at block `(bi, bj)` on `cells` only,
+    /// in cell order. Element-wise and scalar nodes map their operands'
+    /// sampled values, `Transpose` swaps each cell's coordinates, and a
+    /// multiplication sums each cell's k-terms with
+    /// [`Block::gemm_sampled_acc`]. Externals, memoized operands, the
+    /// stage-2 main multiplication, a multiplication under an odd number of
+    /// transposes and a binary operator with `0 op 0 != 0` are gathered
+    /// from their blocks.
+    fn sample(
+        &mut self,
+        node: NodeId,
+        bi: usize,
+        bj: usize,
+        cells: Cells<'_>,
+    ) -> Result<Vec<f64>, SimError> {
+        match self.roles.role(node) {
+            Role::External => {
+                return Ok(match self.store.get(node, (bi, bj)) {
+                    Some(b) => cells.gather(b),
+                    None => vec![0.0; cells.len()],
+                })
+            }
+            Role::Op { memo: true } => return Ok(cells.gather(&*self.eval(node, bi, bj)?)),
+            Role::Scalar(_) => unreachable!("scalars are folded into their consumer"),
+            Role::Op { memo: false } => {}
+        }
+        let n = self.dag.node(node);
+        Ok(match &n.kind {
+            OpKind::Input { .. } | OpKind::Scalar(_) => {
+                unreachable!("leaves are never plan members")
+            }
+            OpKind::Unary(op) => {
+                let mut x = self.sample(n.inputs[0], bi, bj, cells)?;
+                x.iter_mut().for_each(|v| *v = op.apply(*v));
+                x
+            }
+            OpKind::Binary(op) => {
+                let (l_id, r_id) = (n.inputs[0], n.inputs[1]);
+                match (self.scalar_of(l_id), self.scalar_of(r_id)) {
+                    (Some(s), None) => {
+                        let mut x = self.sample(r_id, bi, bj, cells)?;
+                        x.iter_mut().for_each(|v| *v = op.apply(s, *v));
+                        x
+                    }
+                    (None, Some(s)) => {
+                        let mut x = self.sample(l_id, bi, bj, cells)?;
+                        x.iter_mut().for_each(|v| *v = op.apply(*v, s));
+                        x
+                    }
+                    // The block path leaves cells outside two CSR operands'
+                    // patterns at zero even where `0 op 0` is not (division,
+                    // power), so such an operator is gathered from its block.
+                    (None, None) if op.apply(0.0, 0.0) != 0.0 => {
+                        return Ok(cells.gather(&*self.compute(node, bi, bj)?))
+                    }
+                    (None, None) => {
+                        let mut l = self.sample(l_id, bi, bj, cells)?;
+                        let r = self.sample(r_id, bi, bj, cells)?;
+                        l.iter_mut()
+                            .zip(&r)
+                            .for_each(|(a, &b)| *a = op.apply(*a, b));
+                        l
+                    }
+                    (Some(_), Some(_)) => {
+                        return Err(SimError::Task(
+                            "binary over two scalars inside a kernel".into(),
+                        ))
+                    }
+                }
+            }
+            OpKind::Transpose => {
+                let flipped = Cells {
+                    transposed: !cells.transposed,
+                    ..cells
+                };
+                self.sample(n.inputs[0], bj, bi, flipped)?
+            }
+            OpKind::MatMul => {
+                if cells.transposed
+                    || (self.mm_override.is_some() && Some(node) == self.roles.main_mm)
+                {
+                    return Ok(cells.gather(&*self.compute(node, bi, bj)?));
+                }
+                let mut acc = vec![0.0; cells.len()];
+                for (l, r) in self.mm_terms(node, bi, bj)? {
+                    l.gemm_sampled_acc(&r, cells.pattern, &mut acc)?;
+                }
+                acc
+            }
+            OpKind::FullAgg(_) | OpKind::RowAgg(_) | OpKind::ColAgg(_) => {
+                return Err(SimError::Task(
+                    "aggregation nodes are folded by the operator driver, not eval()".into(),
+                ))
+            }
+        })
     }
 
     /// The k-slice a multiplication sums over: the task slice for the main
@@ -506,8 +736,8 @@ impl<'a> KernelCtx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fuseme_matrix::{gen, AggOp, BinOp, BlockedMatrix, UnaryOp};
-    use fuseme_plan::DagBuilder;
+    use fuseme_matrix::{gen, AggOp, BlockedMatrix, UnaryOp};
+    use fuseme_plan::{DagBuilder, Expr};
 
     /// The NMF query O = X * log(U×Vᵀ + eps) with all blocks of all inputs
     /// in the store.
@@ -756,6 +986,273 @@ mod tests {
                 assert_eq!(coord, (0, 1), "V(j=0, k=1)");
             }
         }
+    }
+
+    /// A whole-query fused plan over `X` (20×20 CSR at density 0.3), `U`
+    /// and `V` (20×`k`, CSR when `sparse_u`), all in blocks of 5, with
+    /// every block of every input in the store.
+    struct Outer {
+        dag: QueryDag,
+        roles: PlanRoles,
+        store: LocalStore,
+        root: NodeId,
+        x: NodeId,
+    }
+
+    fn outer(
+        k: usize,
+        sparse_u: bool,
+        build: impl FnOnce(&mut DagBuilder, [Expr; 3]) -> Expr,
+    ) -> Outer {
+        let bs = 5;
+        let x = gen::sparse_uniform(20, 20, bs, 0.3, 1.0, 2.0, 1).unwrap();
+        let u = if sparse_u {
+            gen::sparse_uniform(20, k, bs, 0.3, 0.1, 1.0, 2).unwrap()
+        } else {
+            gen::dense_uniform(20, k, bs, 0.1, 1.0, 2).unwrap()
+        };
+        let v = gen::dense_uniform(20, k, bs, 0.1, 1.0, 3).unwrap();
+        let mut b = DagBuilder::new();
+        let inputs = [
+            b.input("X", *x.meta()),
+            b.input("U", *u.meta()),
+            b.input("V", *v.meta()),
+        ];
+        let root = build(&mut b, inputs);
+        let dag = b.finish(vec![root]);
+        let root = root.id();
+        let ops: BTreeSet<NodeId> = dag
+            .nodes()
+            .iter()
+            .filter(|n| !n.kind.is_leaf())
+            .map(|n| n.id)
+            .collect();
+        let roles = PlanRoles::new(&dag, &PartialPlan::new(ops, root));
+        let mut store = LocalStore::new();
+        for (m, e) in [&x, &u, &v].into_iter().zip(inputs) {
+            for (bi, bj, blk) in m.iter_blocks() {
+                store.insert(e.id(), (bi, bj), Arc::clone(blk));
+            }
+        }
+        Outer {
+            dag,
+            roles,
+            store,
+            root,
+            x: inputs[0].id(),
+        }
+    }
+
+    /// `X * log(U×Vᵀ + 0.5)`, the NMF query.
+    fn nmf_root(b: &mut DagBuilder, [x, u, v]: [Expr; 3]) -> Expr {
+        let vt = b.transpose(v);
+        let mm = b.matmul(u, vt);
+        let eps = b.scalar(0.5);
+        let add = b.binary(mm, eps, BinOp::Add);
+        let lg = b.unary(add, UnaryOp::Log);
+        b.binary(x, lg, BinOp::Mul)
+    }
+
+    /// Evaluates `f.root` on all 4×4 output blocks twice — as planned, and
+    /// with every driver removed so each product takes the block path —
+    /// and asserts equal blocks. Returns how many blocks were sampled.
+    fn sampled_matches_block_path(
+        f: &Outer,
+        k_range: Range<usize>,
+        mm: Option<&HashMap<(usize, usize), Arc<Block>>>,
+    ) -> usize {
+        let unsampled = PlanRoles {
+            drivers: vec![None; f.roles.drivers.len()],
+            ..f.roles.clone()
+        };
+        let ctx = |roles| {
+            let base = KernelCtx::new(&f.dag, roles, k_range.clone(), &f.store);
+            match mm {
+                Some(values) => base.with_mm_override(values),
+                None => base,
+            }
+        };
+        let (mut sampled, mut blocks) = (ctx(&f.roles), ctx(&unsampled));
+        for bi in 0..4 {
+            for bj in 0..4 {
+                let got = sampled.eval(f.root, bi, bj).unwrap();
+                let want = blocks.eval(f.root, bi, bj).unwrap();
+                assert_eq!(got.to_dense(), want.to_dense(), "block ({bi},{bj})");
+                assert_eq!(got.is_sparse(), want.is_sparse(), "block ({bi},{bj})");
+                assert_eq!(got.nnz(), want.nnz(), "block ({bi},{bj})");
+                assert_eq!(got, want, "block ({bi},{bj})");
+            }
+        }
+        assert_eq!(blocks.sampled, 0);
+        sampled.sampled
+    }
+
+    #[test]
+    fn sampled_product_matches_block_path_with_driver_left() {
+        let f = outer(10, false, nmf_root);
+        assert_eq!(f.roles.drivers[f.root], Some(0));
+        assert_eq!(sampled_matches_block_path(&f, 0..2, None), 16);
+    }
+
+    #[test]
+    fn sampled_product_matches_block_path_with_driver_right() {
+        let f = outer(10, false, |b, [x, u, v]| {
+            let vt = b.transpose(v);
+            let mm = b.matmul(u, vt);
+            let lg = b.unary(mm, UnaryOp::Log);
+            b.binary(lg, x, BinOp::Mul)
+        });
+        assert_eq!(f.roles.drivers[f.root], Some(1));
+        assert_eq!(sampled_matches_block_path(&f, 0..2, None), 16);
+    }
+
+    #[test]
+    fn sampled_chain_handles_transposes_and_scalars() {
+        // The multiplication under two transposes is sampled; under one it
+        // is gathered from its block.
+        let twice = outer(10, false, |b, [x, u, v]| {
+            let vt = b.transpose(v);
+            let mm = b.matmul(u, vt);
+            let t1 = b.transpose(mm);
+            let half = b.scalar(0.5);
+            let scaled = b.binary(t1, half, BinOp::Mul);
+            let t2 = b.transpose(scaled);
+            let two = b.scalar(2.0);
+            let shifted = b.binary(two, t2, BinOp::Sub);
+            b.binary(x, shifted, BinOp::Mul)
+        });
+        assert_eq!(sampled_matches_block_path(&twice, 0..2, None), 16);
+        let once = outer(10, false, |b, [x, u, v]| {
+            let ut = b.transpose(u);
+            let mm = b.matmul(v, ut);
+            let t = b.transpose(mm);
+            let sq = b.unary(t, UnaryOp::Square);
+            b.binary(x, sq, BinOp::Mul)
+        });
+        assert_eq!(sampled_matches_block_path(&once, 0..2, None), 16);
+        // A division is gathered from its block.
+        let ratio = outer(10, false, |b, [x, u, v]| {
+            let vt = b.transpose(v);
+            let mm = b.matmul(u, vt);
+            let one = b.scalar(1.0);
+            let shifted = b.binary(mm, one, BinOp::Add);
+            let ratio = b.binary(mm, shifted, BinOp::Div);
+            b.binary(x, ratio, BinOp::Mul)
+        });
+        assert_eq!(sampled_matches_block_path(&ratio, 0..2, None), 16);
+    }
+
+    #[test]
+    fn sampled_multiplication_matches_single_and_multi_term_products() {
+        // k = 5 is one k-block (the Gustavson / `gemm_auto` path), k = 10
+        // two (the dense accumulator); `U` dense and CSR.
+        for (k, k_blocks) in [(5, 1), (10, 2)] {
+            for sparse_u in [false, true] {
+                let f = outer(k, sparse_u, |b, [x, u, v]| {
+                    let vt = b.transpose(v);
+                    let mm = b.matmul(u, vt);
+                    b.binary(x, mm, BinOp::Mul)
+                });
+                let sampled = sampled_matches_block_path(&f, 0..k_blocks, None);
+                assert!(sampled > 0, "k={k} sparse_u={sparse_u}");
+            }
+        }
+    }
+
+    #[test]
+    fn sampled_stage_two_gathers_the_aggregated_multiplication() {
+        let f = outer(10, false, nmf_root);
+        let mm = f.roles.main_mm.unwrap();
+        let mut pre = KernelCtx::new(&f.dag, &f.roles, 0..2, &f.store);
+        let mut agg = HashMap::new();
+        for bi in 0..4 {
+            for bj in 0..4 {
+                agg.insert((bi, bj), pre.eval(mm, bi, bj).unwrap());
+            }
+        }
+        assert_eq!(sampled_matches_block_path(&f, 0..0, Some(&agg)), 16);
+    }
+
+    #[test]
+    fn in_plan_operator_drives_the_als_loss_summand() {
+        // (X != 0) * (X - U×Vᵀ)^2: the driver is an in-plan operator.
+        let f = outer(10, false, |b, [x, u, v]| {
+            let zero = b.scalar(0.0);
+            let rated = b.binary(x, zero, BinOp::NotEq);
+            let vt = b.transpose(v);
+            let mm = b.matmul(u, vt);
+            let diff = b.binary(x, mm, BinOp::Sub);
+            let sq = b.unary(diff, UnaryOp::Square);
+            b.binary(rated, sq, BinOp::Mul)
+        });
+        let gate = f.dag.node(f.root).inputs[0];
+        assert_eq!(f.roles.role(gate), Role::Op { memo: false });
+        assert_eq!(f.roles.drivers[f.root], Some(0));
+        assert_eq!(sampled_matches_block_path(&f, 0..2, None), 16);
+    }
+
+    #[test]
+    fn driver_with_explicit_zero_keeps_the_block_path_result() {
+        // A stored 0.0 makes a zero product, which the block path keeps
+        // (dense other operand) or drops (CSR other operand); that block
+        // takes the block path, which keeps it here.
+        let mut f = outer(10, false, nmf_root);
+        let x00 = f.store.get(f.x, (0, 0)).unwrap().to_dense();
+        let mut triples: Vec<_> = SparseBlock::from_dense(&x00).iter().collect();
+        let r = (0..5).find(|&r| x00.row(r).contains(&0.0)).unwrap();
+        let c = x00.row(r).iter().position(|&v| v == 0.0).unwrap();
+        triples.push((r, c, 0.0));
+        let with_zero = SparseBlock::from_triples(5, 5, triples).unwrap();
+        f.store
+            .insert(f.x, (0, 0), Arc::new(Block::Sparse(with_zero)));
+        assert_eq!(sampled_matches_block_path(&f, 0..2, None), 15);
+        let mut ctx = KernelCtx::new(&f.dag, &f.roles, 0..2, &f.store);
+        let out = ctx.eval(f.root, 0, 0).unwrap();
+        assert_eq!(out.nnz(), f.store.get(f.x, (0, 0)).unwrap().nnz());
+    }
+
+    #[test]
+    fn dense_driver_block_and_diamond_operand_take_the_block_path() {
+        let mut dense = outer(10, false, nmf_root);
+        let coords: Vec<_> = dense.store.keys().filter(|&(n, _)| n == dense.x).collect();
+        for (node, coord) in coords {
+            let d = dense.store.get(node, coord).unwrap().to_dense();
+            dense.store.insert(node, coord, Arc::new(Block::Dense(d)));
+        }
+        assert_eq!(sampled_matches_block_path(&dense, 0..2, None), 0);
+
+        // (X * lg) + lg: lg feeds two slots, so it is memoized and the
+        // product gets no driver.
+        let diamond = outer(10, false, |b, [x, u, v]| {
+            let vt = b.transpose(v);
+            let mm = b.matmul(u, vt);
+            let lg = b.unary(mm, UnaryOp::Log);
+            let gated = b.binary(x, lg, BinOp::Mul);
+            b.binary(gated, lg, BinOp::Add)
+        });
+        let gated = diamond.dag.node(diamond.root).inputs[0];
+        assert_eq!(diamond.roles.drivers[gated], None);
+        assert_eq!(sampled_matches_block_path(&diamond, 0..2, None), 0);
+    }
+
+    #[test]
+    fn sampled_nmf_block_has_exactly_the_drivers_pattern() {
+        let f = outer(10, false, nmf_root);
+        let mut ctx = KernelCtx::new(&f.dag, &f.roles, 0..2, &f.store);
+        for bi in 0..4 {
+            for bj in 0..4 {
+                let Block::Sparse(out) = ctx.eval(f.root, bi, bj).unwrap().as_ref().clone() else {
+                    panic!("block ({bi},{bj}) is not CSR");
+                };
+                let Block::Sparse(x) = f.store.get(f.x, (bi, bj)).unwrap().as_ref().clone() else {
+                    panic!("X block ({bi},{bj}) is not CSR");
+                };
+                let pattern =
+                    |s: &SparseBlock| s.iter().map(|(r, c, _)| (r, c)).collect::<Vec<_>>();
+                assert_eq!(pattern(&out), pattern(&x), "block ({bi},{bj})");
+            }
+        }
+        assert_eq!(ctx.sampled, 16);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! strategy (cuboid with random `(P,Q,R)`, broadcast, replication) plus the
 //! plan-level drivers are checked against it on arbitrary operator mixes.
 //! Consolidation routing is checked the same way, against the per-block
-//! demand recursion `KernelCtx::needs`.
+//! demand recursion `KernelCtx::needs`, and sampled evaluation under a CSR
+//! driver against the block path a dense twin of the same values takes.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -19,8 +20,8 @@ use fuseme_exec::{KernelCtx, LocalStore, PlanRoles, Strategy};
 use fuseme_fusion::cfg::{explore, Cfg};
 use fuseme_fusion::optimizer::Pqr;
 use fuseme_fusion::plan::{FusionPlan, PartialPlan};
-use fuseme_matrix::{gen, AggOp, BinOp, MatrixMeta, UnaryOp};
-use fuseme_plan::{evaluate, Bindings, DagBuilder, NodeId, OpKind, QueryDag};
+use fuseme_matrix::{gen, AggOp, BinOp, Block, BlockedMatrix, MatrixMeta, UnaryOp};
+use fuseme_plan::{evaluate, Bindings, DagBuilder, Expr, NodeId, OpKind, QueryDag};
 use fuseme_sim::{Cluster, ClusterConfig};
 
 fn cluster() -> Cluster {
@@ -33,9 +34,45 @@ fn cluster() -> Cluster {
 /// root aggregates the last value when `agg` is 1 (full), 2 (row-wise) or
 /// 3 (column-wise).
 fn random_dag(script: &[u8], agg: u8) -> QueryDag {
+    let mut b = DagBuilder::new();
+    let (_, _, last) = random_chain(&mut b, script);
+    finish(b, last, agg)
+}
+
+/// The Outer template's shape around a random chain: the chain times `Y`,
+/// an element-wise epilogue drawn from the same script, and a product with
+/// the sparse `X` on the left or the right.
+fn gated_dag(script: &[u8], agg: u8, driver_left: bool) -> QueryDag {
+    let mut b = DagBuilder::new();
+    let (x, y, last) = random_chain(&mut b, script);
+    let mut v = b.matmul(last, y);
+    for &op in script {
+        v = match op {
+            0 => b.binary(v, y, BinOp::Add),
+            3 => b.transpose(v),
+            4 => b.unary(v, UnaryOp::Abs),
+            5 => b.binary(x, v, BinOp::Sub),
+            6 => {
+                let half = b.scalar(0.5);
+                b.binary(half, v, BinOp::Mul)
+            }
+            7 => b.unary(v, UnaryOp::Square),
+            _ => v,
+        };
+    }
+    let gated = if driver_left {
+        b.binary(x, v, BinOp::Mul)
+    } else {
+        b.binary(v, x, BinOp::Mul)
+    };
+    finish(b, gated, agg)
+}
+
+/// A random operator chain over the sparse `X` and the dense `Y`, both
+/// 16×16: returns `X`, `Y` and the chain's last value.
+fn random_chain(b: &mut DagBuilder, script: &[u8]) -> (Expr, Expr, Expr) {
     let bs = 4;
     let n = 16;
-    let mut b = DagBuilder::new();
     let x = b.input("X", MatrixMeta::sparse(n, n, bs, 0.3));
     let y = b.input("Y", MatrixMeta::dense(n, n, bs));
     let mut pool = vec![x, y];
@@ -57,7 +94,12 @@ fn random_dag(script: &[u8], agg: u8) -> QueryDag {
         };
         pool.push(next);
     }
-    let last = *pool.last().unwrap();
+    (x, y, *pool.last().unwrap())
+}
+
+/// Finishes the DAG at `last`, aggregated when `agg` is 1 (full), 2
+/// (row-wise) or 3 (column-wise).
+fn finish(mut b: DagBuilder, last: Expr, agg: u8) -> QueryDag {
     let root = match agg {
         1 => b.full_agg(last, AggOp::Sum),
         2 => b.row_agg(last, AggOp::Max),
@@ -289,6 +331,67 @@ proptest! {
                         dag
                     );
                 }
+            }
+        }
+    }
+}
+
+/// `m`'s values with every present block stored densely, under the same
+/// metadata, so plans and routing are unchanged and only block formats
+/// differ.
+fn dense_twin(m: &BlockedMatrix) -> BlockedMatrix {
+    BlockedMatrix::from_fn(*m.meta(), |bi, bj| {
+        m.block(bi, bj).map(|b| Block::Dense(b.to_dense()))
+    })
+    .unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Sampled evaluation: with `X` bound as CSR, zero-dominant products
+    /// driven by `X` are evaluated only at its stored cells; bound as dense
+    /// blocks of the same values, every product takes the block path. Both
+    /// must agree element-wise on every plan shape and strategy.
+    #[test]
+    fn csr_driver_matches_dense_twin(
+        ops in proptest::collection::vec(0u8..8, 1..10),
+        agg in 0u8..4,
+        side in 0u8..2,
+        seed in 0u64..10_000,
+        p in 1usize..6,
+        q in 1usize..6,
+        r in 1usize..5,
+    ) {
+        let dag = gated_dag(&ops, agg, side == 0);
+        let binds = bindings(seed);
+        let x = dag
+            .nodes()
+            .iter()
+            .find(|n| matches!(&n.kind, OpKind::Input { name } if name == "X"))
+            .unwrap()
+            .id;
+        let cl = cluster();
+        for plan in candidate_plans(&dag) {
+            let csr = plan_values(&dag, &plan, &binds, seed);
+            let mut twin = csr.clone();
+            if let Some(m) = twin.get_mut(&x) {
+                *m = Arc::new(dense_twin(m));
+            }
+            for strategy in [
+                Strategy::Cuboid { pqr: Pqr { p, q, r } },
+                Strategy::Broadcast { partition_bytes: 2048 },
+                Strategy::Replication,
+            ] {
+                let got = execute_fused(&cl, &dag, &plan, &csr, &strategy).unwrap();
+                let want = execute_fused(&cl, &dag, &plan, &twin, &strategy).unwrap();
+                prop_assert!(
+                    got.to_dense_vec() == want.to_dense_vec(),
+                    "{:?} on plan {:?} differs between CSR and dense X\n{}",
+                    strategy,
+                    plan,
+                    dag
+                );
             }
         }
     }

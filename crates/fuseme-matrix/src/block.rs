@@ -249,6 +249,58 @@ impl Block {
         }
     }
 
+    /// Sampled matrix multiplication: `out[i] += (self * rhs)[r, c]` for the
+    /// `i`-th stored cell `(r, c)` of `pattern`, in CSR order. Each cell
+    /// gets exactly the products [`Block::gemm_acc`] adds into it, in the
+    /// same ascending-`k` order: a dense left operand skips its zeros and a
+    /// sparse operand contributes only its stored entries. Every value is
+    /// therefore bit-identical to that cell of the full product, while only
+    /// `nnz(pattern)·k` products are formed (SystemML's Outer template).
+    pub fn gemm_sampled_acc(
+        &self,
+        rhs: &Block,
+        pattern: &SparseBlock,
+        out: &mut [f64],
+    ) -> Result<()> {
+        if self.cols() != rhs.rows() {
+            return Err(Error::GemmMismatch {
+                left_cols: self.cols(),
+                right_rows: rhs.rows(),
+            });
+        }
+        if (pattern.rows(), pattern.cols()) != (self.rows(), rhs.cols())
+            || out.len() != pattern.nnz()
+        {
+            return Err(Error::DimMismatch {
+                left: (pattern.rows(), pattern.cols()),
+                right: (self.rows(), rhs.cols()),
+                op: "sampled gemm pattern",
+            });
+        }
+        let mut start = 0;
+        for r in 0..pattern.rows() {
+            let (cols, _) = pattern.row_entries(r);
+            let cells = &mut out[start..start + cols.len()];
+            start += cols.len();
+            if cols.is_empty() {
+                continue;
+            }
+            match (self, rhs) {
+                (Block::Dense(a), Block::Dense(b)) => sampled_row_dense(a.row(r), b, cols, cells),
+                (Block::Dense(a), _) => {
+                    let terms = a.row(r).iter().copied().enumerate();
+                    sampled_row(terms.filter(|&(_, av)| av != 0.0), rhs, cols, cells);
+                }
+                (Block::Sparse(a), _) => {
+                    let (ks, avals) = a.row_entries(r);
+                    let terms = ks.iter().map(|&k| k as usize).zip(avals.iter().copied());
+                    sampled_row(terms, rhs, cols, cells);
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Full aggregation to a scalar.
     pub fn agg(&self, op: AggOp) -> f64 {
         match self {
@@ -291,6 +343,82 @@ impl Block {
                 Block::Dense(b.to_dense())
             }
             _ => self,
+        }
+    }
+}
+
+/// [`sampled_row`] for a dense left row and a dense `rhs`: up to eight
+/// cells at a time, each with its own accumulator, so one cell's addition
+/// chain overlaps with the others'.
+fn sampled_row_dense(a_row: &[f64], rhs: &DenseBlock, cols: &[u32], cells: &mut [f64]) {
+    let (b, n) = (rhs.data(), rhs.cols());
+    let mut start = 0;
+    while start < cells.len() {
+        let left = cells.len() - start;
+        start += match left {
+            8.. => sampled_cells::<8>(a_row, b, n, &cols[start..], &mut cells[start..]),
+            4.. => sampled_cells::<4>(a_row, b, n, &cols[start..], &mut cells[start..]),
+            2.. => sampled_cells::<2>(a_row, b, n, &cols[start..], &mut cells[start..]),
+            _ => sampled_cells::<1>(a_row, b, n, &cols[start..], &mut cells[start..]),
+        };
+    }
+}
+
+/// Accumulates the first `N` cells of a row in registers over the whole
+/// `k` extent of the dense operands; returns `N`.
+fn sampled_cells<const N: usize>(
+    a_row: &[f64],
+    b: &[f64],
+    n: usize,
+    cols: &[u32],
+    cells: &mut [f64],
+) -> usize {
+    let c: [usize; N] = std::array::from_fn(|j| cols[j] as usize);
+    let mut acc: [f64; N] = std::array::from_fn(|j| cells[j]);
+    for (&av, b_row) in a_row.iter().zip(b.chunks_exact(n)) {
+        if av == 0.0 {
+            continue;
+        }
+        for (a, &c) in acc.iter_mut().zip(&c) {
+            *a += av * b_row[c];
+        }
+    }
+    cells[..N].copy_from_slice(&acc);
+    N
+}
+
+/// Adds `Σ_k a_k · rhs[k, c]` into the cells of one output row, whose
+/// ascending columns are `cols`, for the left-row terms `(k, a_k)` in
+/// ascending `k`. A sparse `rhs` contributes only its stored entries.
+fn sampled_row(
+    terms: impl Iterator<Item = (usize, f64)>,
+    rhs: &Block,
+    cols: &[u32],
+    cells: &mut [f64],
+) {
+    for (k, av) in terms {
+        match rhs {
+            Block::Dense(b) => {
+                let b_row = b.row(k);
+                for (o, &c) in cells.iter_mut().zip(cols) {
+                    *o += av * b_row[c as usize];
+                }
+            }
+            Block::Sparse(b) => {
+                let (bc, bv) = b.row_entries(k);
+                let (mut i, mut j) = (0, 0);
+                while i < bc.len() && j < cols.len() {
+                    match bc[i].cmp(&cols[j]) {
+                        std::cmp::Ordering::Less => i += 1,
+                        std::cmp::Ordering::Greater => j += 1,
+                        std::cmp::Ordering::Equal => {
+                            cells[j] += av * bv[i];
+                            i += 1;
+                            j += 1;
+                        }
+                    }
+                }
+            }
         }
     }
 }
@@ -379,6 +507,50 @@ mod tests {
             for b in [&b_dense, &b_sparse] {
                 assert_eq!(a.gemm(b).unwrap(), expected);
             }
+        }
+    }
+
+    /// A deterministic `rows × cols` tile with about one zero in five.
+    fn patterned(rows: usize, cols: usize, salt: usize) -> Block {
+        let vals: Vec<f64> = (0..rows * cols)
+            .map(|i| match (i * 7 + salt) % 5 {
+                0 => 0.0,
+                m => (m as f64 - 2.5) * (1.0 + (i % 11) as f64 / 7.0),
+            })
+            .collect();
+        dense(rows, cols, &vals)
+    }
+
+    #[test]
+    fn gemm_sampled_matches_full_product_bit_for_bit() {
+        // 3×4×3 with short rows, and 6×9×20 whose pattern rows hold 15
+        // cells (register chunks of 8, 4, 2 and 1).
+        for (m, k, n, keep) in [(3, 4, 3, 2), (6, 9, 20, 4)] {
+            let a_dense = patterned(m, k, 1);
+            let b_dense = patterned(k, n, 2);
+            let a_sparse = Block::Sparse(SparseBlock::from_dense(&a_dense.to_dense()));
+            let b_sparse = Block::Sparse(SparseBlock::from_dense(&b_dense.to_dense()));
+            let cells: Vec<_> = (0..m * n)
+                .filter(|i| i % keep != 0)
+                .map(|i| (i / n, i % n, 1.0))
+                .collect();
+            let pattern = SparseBlock::from_triples(m, n, cells).unwrap();
+            for a in [&a_dense, &a_sparse] {
+                for b in [&b_dense, &b_sparse] {
+                    // Two terms, as a multi-block common dimension does.
+                    let mut full = DenseBlock::zeros(m, n);
+                    let mut sampled = vec![0.0; pattern.nnz()];
+                    for _ in 0..2 {
+                        a.gemm_acc(b, &mut full).unwrap();
+                        a.gemm_sampled_acc(b, &pattern, &mut sampled).unwrap();
+                    }
+                    for ((r, c, _), v) in pattern.iter().zip(&sampled) {
+                        assert_eq!(v.to_bits(), full.get(r, c).to_bits(), "cell ({r},{c})");
+                    }
+                }
+            }
+            let short = &mut [0.0; 1];
+            assert!(a_dense.gemm_sampled_acc(&b_dense, &pattern, short).is_err());
         }
     }
 

@@ -189,6 +189,30 @@ impl SparseBlock {
         self.values.len() as u64 * (ELEM_BYTES + 4) + self.row_ptr.len() as u64 * 8
     }
 
+    /// The stored values in CSR order.
+    pub fn values(&self) -> &[f64] {
+        &self.values
+    }
+
+    /// A block with this block's pattern and `values`, one per stored entry
+    /// in CSR order.
+    pub fn with_values(&self, values: Vec<f64>) -> Result<SparseBlock> {
+        if values.len() != self.values.len() {
+            return Err(Error::InvalidSparse(format!(
+                "{} values for a pattern of {} entries",
+                values.len(),
+                self.values.len()
+            )));
+        }
+        Ok(SparseBlock {
+            rows: self.rows,
+            cols: self.cols,
+            row_ptr: self.row_ptr.clone(),
+            col_idx: self.col_idx.clone(),
+            values,
+        })
+    }
+
     /// The stored entries of row `r` as parallel `(col_idx, values)` slices.
     #[inline]
     pub fn row_entries(&self, r: usize) -> (&[u32], &[f64]) {
