@@ -52,7 +52,6 @@ pub struct Engine {
     kind: EngineKind,
     cluster: Cluster,
     exec: ExecConfig,
-    partition_bytes: u64,
 }
 
 /// Result of one query execution.
@@ -80,7 +79,6 @@ impl Engine {
             kind,
             cluster,
             exec,
-            partition_bytes,
         }
     }
 
@@ -115,22 +113,11 @@ impl Engine {
     /// Overrides the Spark-style partition size used by BFO and the
     /// SystemDS selection rule.
     pub fn with_partition_bytes(mut self, bytes: u64) -> Self {
-        self.partition_bytes = bytes;
-        let matmul = match self.kind {
-            EngineKind::SystemDsLike => MatmulStrategy::SystemDsRule {
-                partition_bytes: bytes,
-            },
-            EngineKind::TensorFlowLike => MatmulStrategy::Bfo {
-                partition_bytes: bytes,
-            },
-            other => {
-                return {
-                    let _ = other;
-                    self
-                }
-            }
-        };
-        self.exec.matmul = matmul;
+        if let MatmulStrategy::SystemDsRule { partition_bytes }
+        | MatmulStrategy::Bfo { partition_bytes } = &mut self.exec.matmul
+        {
+            *partition_bytes = bytes;
+        }
         self
     }
 
@@ -201,7 +188,7 @@ impl Engine {
     pub fn explain(&self, dag: &QueryDag) -> String {
         use fuseme_fusion::cost::estimate;
         use fuseme_fusion::optimizer::optimize_bounded;
-        use fuseme_fusion::plan::{k_splittable, ExecUnit, PartialPlan};
+        use fuseme_fusion::plan::{max_k_parts, ExecUnit, PartialPlan};
         use fuseme_fusion::space::SpaceTree;
         use std::fmt::Write as _;
 
@@ -226,8 +213,7 @@ impl Engine {
             match unit {
                 ExecUnit::Fused(p) if p.main_matmul(dag).is_some() => {
                     let tree = SpaceTree::build(dag, p);
-                    let max_r = if k_splittable(dag, p) { usize::MAX } else { 1 };
-                    let opt = optimize_bounded(dag, p, &tree, &model, max_r);
+                    let opt = optimize_bounded(dag, p, &tree, &model, max_k_parts(dag, p));
                     let est = estimate(dag, p, &tree, opt.pqr.p, opt.pqr.q, opt.pqr.r);
                     let _ = writeln!(
                         out,

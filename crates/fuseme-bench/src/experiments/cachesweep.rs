@@ -26,11 +26,10 @@ use std::path::Path;
 
 use fuseme::prelude::*;
 use fuseme::session::{Session, SessionError};
-use fuseme_exec::driver::EngineStats;
 use fuseme_workloads::als::AlsLoss;
 use fuseme_workloads::gnmf::Gnmf;
 
-use crate::{gb, write_json, Measurement, Scale, Table};
+use crate::{gb, measure_session, pqr_tuples, trace_to, write_json, Measurement, Scale, Table};
 
 /// Iterations per measured run (the headline claim is over five).
 const ITERS: usize = 5;
@@ -78,6 +77,7 @@ type Workload<'a> = (&'a str, Box<dyn Fn(Posture) -> CacheRun + 'a>);
 /// cache posture, collecting the accumulated summary.
 fn cache_run(
     cc: ClusterConfig,
+    name: &str,
     posture: Posture,
     bind: impl FnOnce(&mut Session) -> Result<(), SessionError>,
     mut step: impl FnMut(&mut Session) -> Result<RunReport, SessionError>,
@@ -85,31 +85,21 @@ fn cache_run(
 ) -> CacheRun {
     let mut session = Session::new(Engine::fuseme(cc));
     session.set_replica_cache(posture.budget(&cc));
-    bind(&mut session).expect("generate inputs");
-    let wall = std::time::Instant::now();
-    let mut pqr = Vec::new();
-    for _ in 0..iters {
-        let report = step(&mut session).expect("cachesweep runs must complete");
-        pqr.extend(
-            report
-                .stats
-                .pqr_choices
-                .iter()
-                .map(|(root, p)| (*root, p.p, p.q, p.r)),
-        );
-    }
-    let cluster = session.engine().cluster();
-    let stats = EngineStats {
-        comm: cluster.comm(),
-        sim_secs: cluster.elapsed_secs(),
-        wall_secs: wall.elapsed().as_secs_f64(),
-        faults: session.fault_stats(),
-        cache: session.cache_stats(),
-        ..EngineStats::default()
-    };
+    let (summary, pqr) = measure_session(
+        &mut session,
+        trace_to(&format!("cachesweep-{name}-{}", posture.label())),
+        bind,
+        |s| {
+            let mut pqr = Vec::new();
+            for _ in 0..iters {
+                pqr.extend(pqr_tuples(&step(s)?.stats));
+            }
+            Ok(pqr)
+        },
+    );
     CacheRun {
-        summary: RunSummary::completed("FuseME", &stats),
-        pqr,
+        pqr: pqr.expect("cachesweep runs must complete"),
+        summary,
     }
 }
 
@@ -213,6 +203,7 @@ pub fn run(scale: Scale, out_dir: &Path, smoke: bool) -> Vec<Measurement> {
             Box::new(|p| {
                 cache_run(
                     cc,
+                    "GNMF",
                     p,
                     |s| gnmf.bind_inputs(s, 13),
                     |s| gnmf.iterate(s),
@@ -225,6 +216,7 @@ pub fn run(scale: Scale, out_dir: &Path, smoke: bool) -> Vec<Measurement> {
             Box::new(|p| {
                 cache_run(
                     cc,
+                    "ALS loss",
                     p,
                     |s| als.bind_inputs(s, 13),
                     |s| s.run_script(AlsLoss::loss_script()),

@@ -11,7 +11,8 @@ use fuseme_workloads::datasets::{RatingDataset, MOVIELENS, NETFLIX, YAHOO_MUSIC}
 use fuseme_workloads::gnmf::Gnmf;
 
 use crate::{
-    build_engine, comm_cell_full_div, gb, time_cell, write_json, Measurement, Scale, Table,
+    build_engine, comm_cell_full_div, gb, measure_session, time_cell, trace_to, write_json,
+    Measurement, Scale, Table,
 };
 
 const ENGINES: [EngineKind; 4] = [
@@ -77,9 +78,7 @@ fn run_gnmf(
     iters: usize,
 ) -> RunSummary {
     let cc = scale.factor_cluster(8);
-    let engine = build_engine(kind, cc, cc.partition_bytes);
-    let name = engine.kind().name().to_string();
-    let mut session = Session::new(engine);
+    let mut session = Session::new(build_engine(kind, cc, cc.partition_bytes));
     let (users, items) = dataset.scaled_dims(scale.divisor, scale.block_size());
     let gnmf = Gnmf {
         users,
@@ -88,25 +87,25 @@ fn run_gnmf(
         block_size: scale.block_size(),
         density: dataset.density(),
     };
-    if let Err(e) = gnmf.bind_inputs(&mut session, 77) {
-        return RunSummary::failed(&name, &SimError::Task(e.to_string()));
+    let (mut summary, per_iter) = measure_session(
+        &mut session,
+        trace_to(&format!("fig14-k{k}-{}-{}", dataset.name, kind.name())),
+        |s| gnmf.bind_inputs(s, 77),
+        |s| gnmf.run(s, iters),
+    );
+    if let Some(per_iter) = per_iter {
+        let total: f64 = per_iter.iter().map(|s| s.sim_secs).sum();
+        let avg_comm =
+            per_iter.iter().map(|s| s.comm_bytes).sum::<u64>() / per_iter.len().max(1) as u64;
+        summary.sim_secs = total;
+        summary.consolidation_bytes = avg_comm;
+        summary.aggregation_bytes = 0;
+        println!(
+            "    {:>9} {:<11} k={k}: {total:>8.1}s accumulated, {:.3} GB/iter",
+            kind.name(),
+            dataset.name,
+            gb(avg_comm)
+        );
     }
-    match gnmf.run(&mut session, iters) {
-        Ok(per_iter) => {
-            let total: f64 = per_iter.iter().map(|s| s.sim_secs).sum();
-            let avg_comm =
-                per_iter.iter().map(|s| s.comm_bytes).sum::<u64>() / per_iter.len().max(1) as u64;
-            let mut summary = RunSummary::completed(&name, &Default::default());
-            summary.sim_secs = total;
-            summary.consolidation_bytes = avg_comm;
-            println!(
-                "    {name:>9} {:<11} k={k}: {total:>8.1}s accumulated, {:.3} GB/iter",
-                dataset.name,
-                gb(avg_comm)
-            );
-            summary
-        }
-        Err(fuseme::session::SessionError::Exec(e)) => RunSummary::failed(&name, &e),
-        Err(other) => RunSummary::failed(&name, &SimError::Task(other.to_string())),
-    }
+    summary
 }

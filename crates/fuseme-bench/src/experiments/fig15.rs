@@ -8,7 +8,9 @@ use fuseme::prelude::*;
 use fuseme::session::Session;
 use fuseme_workloads::autoencoder::AutoEncoder;
 
-use crate::{build_engine, time_cell, write_json, Measurement, Scale, Table};
+use crate::{
+    build_engine, measure_session, time_cell, trace_to, write_json, Measurement, Scale, Table,
+};
 
 const ENGINES: [EngineKind; 3] = [
     EngineKind::SystemDsLike,
@@ -126,19 +128,19 @@ fn run_epoch(scale: Scale, ae: &AutoEncoder, kind: EngineKind) -> RunSummary {
         cc.compute_bandwidth *= 1.8;
         cc.net_bandwidth *= 1.8;
     }
-    let engine = build_engine(kind, cc, cc.partition_bytes);
-    let name = engine.kind().name().to_string();
-    let mut session = Session::new(engine);
-    if let Err(e) = ae.bind_inputs(&mut session, 55) {
-        return RunSummary::failed(&name, &SimError::Task(e.to_string()));
+    let mut session = Session::new(build_engine(kind, cc, cc.partition_bytes));
+    let (mut summary, secs) = measure_session(
+        &mut session,
+        trace_to(&format!("fig15-{}", kind.name())),
+        |s| ae.bind_inputs(s, 55),
+        |s| ae.epoch_sim_secs(s),
+    );
+    if let Some(secs) = secs {
+        // Fig. 15 plots epoch time only: one measured step scaled to the
+        // epoch, with no shuffle figure.
+        summary.sim_secs = secs;
+        summary.consolidation_bytes = 0;
+        summary.aggregation_bytes = 0;
     }
-    match ae.epoch_sim_secs(&mut session) {
-        Ok(secs) => {
-            let mut summary = RunSummary::completed(&name, &Default::default());
-            summary.sim_secs = secs;
-            summary
-        }
-        Err(fuseme::session::SessionError::Exec(e)) => RunSummary::failed(&name, &e),
-        Err(other) => RunSummary::failed(&name, &SimError::Task(other.to_string())),
-    }
+    summary
 }

@@ -22,11 +22,10 @@
 use std::path::Path;
 
 use fuseme::prelude::*;
-use fuseme::session::{Session, SessionError};
-use fuseme_exec::driver::EngineStats;
+use fuseme::session::Session;
 use fuseme_workloads::gnmf::Gnmf;
 
-use crate::{gb, write_json, Measurement, Scale, Table};
+use crate::{gb, measure_session, pqr_tuples, trace_to, write_json, Measurement, Scale, Table};
 
 /// GNMF iterations per measured run.
 const ITERS: usize = 2;
@@ -37,8 +36,9 @@ const SKEW_FACTOR: f64 = 4.0;
 /// θ_t divisors swept downward from the scale's baseline budget.
 const THETA_DIVISORS: [u64; 6] = [1, 4, 16, 64, 256, 1024];
 
-/// A run's summary plus the `(P,Q,R)` choices of every completed iteration
-/// (needed to decide when the ledger invariant must hold exactly).
+/// A run's summary plus the `(P,Q,R)` choices of its iterations when every
+/// one completed (needed to decide when the ledger invariant must hold
+/// exactly).
 struct MemRun {
     summary: RunSummary,
     pqr: Vec<(usize, usize, usize, usize)>,
@@ -58,44 +58,28 @@ fn mem_run(cc: ClusterConfig, g: &Gnmf, skew: bool, recovery: bool) -> MemRun {
     if recovery {
         session.set_fault_tolerance(FaultToleranceConfig::resilient());
     }
-    g.bind_inputs(&mut session, 13).expect("generate inputs");
-    let wall = std::time::Instant::now();
-    let mut pqr = Vec::new();
-    let mut failed: Option<SimError> = None;
-    for _ in 0..ITERS {
-        match g.iterate(&mut session) {
-            Ok(report) => pqr.extend(
-                report
-                    .stats
-                    .pqr_choices
-                    .iter()
-                    .map(|(root, p)| (*root, p.p, p.q, p.r)),
-            ),
-            Err(SessionError::Exec(e)) => {
-                failed = Some(e);
-                break;
-            }
-            Err(e) => {
-                failed = Some(SimError::Task(e.to_string()));
-                break;
-            }
-        }
-    }
-    let summary = match failed {
-        Some(e) => RunSummary::failed("FuseME", &e),
-        None => {
-            let cluster = session.engine().cluster();
-            let stats = EngineStats {
-                comm: cluster.comm(),
-                sim_secs: cluster.elapsed_secs(),
-                wall_secs: wall.elapsed().as_secs_f64(),
-                faults: session.fault_stats(),
-                ..EngineStats::default()
-            };
-            RunSummary::completed("FuseME", &stats)
-        }
+    let posture = match (skew, recovery) {
+        (false, false) => "bare",
+        (false, true) => "oracle",
+        (true, false) => "seed",
+        (true, true) => "ladder",
     };
-    MemRun { summary, pqr }
+    let (summary, pqr) = measure_session(
+        &mut session,
+        trace_to(&format!("memstress-theta-{}B-{posture}", cc.mem_per_task)),
+        |s| g.bind_inputs(s, 13),
+        |s| {
+            let mut pqr = Vec::new();
+            for _ in 0..ITERS {
+                pqr.extend(pqr_tuples(&g.iterate(s)?.stats));
+            }
+            Ok(pqr)
+        },
+    );
+    MemRun {
+        summary,
+        pqr: pqr.unwrap_or_default(),
+    }
 }
 
 /// Runs the memory-pressure sweep, printing the table and persisting
@@ -202,6 +186,7 @@ pub fn run(scale: Scale, out_dir: &Path) -> Vec<Measurement> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fuseme::session::SessionError;
 
     fn tiny() -> Gnmf {
         Gnmf {

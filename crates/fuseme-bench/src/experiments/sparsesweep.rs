@@ -24,11 +24,10 @@ use std::path::Path;
 
 use fuseme::prelude::*;
 use fuseme::session::{Session, SessionError};
-use fuseme_exec::driver::EngineStats;
 use fuseme_workloads::als::AlsLoss;
 use fuseme_workloads::gnmf::Gnmf;
 
-use crate::{gb, write_json, Measurement, Scale, Table};
+use crate::{gb, measure_session, trace_to, write_json, Measurement, Scale, Table};
 
 /// Iterations per measured run; two is enough to exercise re-binding the
 /// factors between iterations on both paths.
@@ -80,37 +79,37 @@ fn densify(m: &BlockedMatrix) -> BlockedMatrix {
 /// binding, and collects the accounting plus the named output matrices.
 fn sweep_run(
     cc: ClusterConfig,
+    label: &str,
     path: XPath,
     bind: impl FnOnce(&mut Session) -> Result<(), SessionError>,
     mut step: impl FnMut(&mut Session) -> Result<RunReport, SessionError>,
     outputs_of: impl Fn(&Session, &RunReport) -> Vec<Vec<f64>>,
 ) -> SweepRun {
     let mut session = Session::new(Engine::fuseme(cc));
-    bind(&mut session).expect("generate inputs");
-    if path == XPath::Dense {
-        let x = session.matrix("X").expect("workloads bind X");
-        let dense = densify(x);
-        session.bind("X", dense);
-    }
-    let wall = std::time::Instant::now();
-    let mut last = None;
-    for _ in 0..ITERS {
-        last = Some(step(&mut session).expect("sparsesweep runs must complete"));
-    }
-    let report = last.expect("at least one iteration");
-    let outputs = outputs_of(&session, &report);
-    let cluster = session.engine().cluster();
-    let stats = EngineStats {
-        comm: cluster.comm(),
-        sim_secs: cluster.elapsed_secs(),
-        wall_secs: wall.elapsed().as_secs_f64(),
-        faults: session.fault_stats(),
-        cache: session.cache_stats(),
-        ..EngineStats::default()
-    };
+    let (summary, outputs) = measure_session(
+        &mut session,
+        trace_to(&format!("sparsesweep-{label}-{}", path.label())),
+        |s| {
+            bind(s)?;
+            if path == XPath::Dense {
+                let x = s.matrix("X").expect("workloads bind X");
+                let dense = densify(x);
+                s.bind("X", dense);
+            }
+            Ok(())
+        },
+        |s| {
+            let mut last = None;
+            for _ in 0..ITERS {
+                last = Some(step(s)?);
+            }
+            let report = last.expect("at least one iteration");
+            Ok(outputs_of(s, &report))
+        },
+    );
     SweepRun {
-        summary: RunSummary::completed("FuseME", &stats),
-        outputs,
+        outputs: outputs.expect("sparsesweep runs must complete"),
+        summary,
     }
 }
 
@@ -195,6 +194,7 @@ pub fn run(scale: Scale, out_dir: &Path, smoke: bool) -> Vec<Measurement> {
             .flat_map(|&path| {
                 let gr = sweep_run(
                     cc,
+                    &format!("GNMF-d{density}"),
                     path,
                     |s| g.bind_inputs(s, 13),
                     |s| g.iterate(s),
@@ -207,6 +207,7 @@ pub fn run(scale: Scale, out_dir: &Path, smoke: bool) -> Vec<Measurement> {
                 );
                 let ar = sweep_run(
                     cc,
+                    &format!("ALS-loss-d{density}"),
                     path,
                     |s| a.bind_inputs(s, 13),
                     |s| s.run_script(AlsLoss::loss_script()),

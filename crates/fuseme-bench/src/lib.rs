@@ -15,7 +15,14 @@
 //! so simulated elapsed times, O.O.M. thresholds, and the 12-hour timeout
 //! remain directly comparable to the paper's reported numbers.
 
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
+
+use fuseme::obs::{SpanGuard, SpanKind};
 use fuseme::prelude::*;
+use fuseme_exec::driver::EngineStats;
 use fuseme_plan::QueryDag;
 use serde::{Deserialize, Serialize};
 
@@ -146,27 +153,13 @@ pub fn build_engine(kind: EngineKind, cc: ClusterConfig, partition_bytes: u64) -
 }
 
 /// Runs one query on a fresh engine, classifying failures like the paper's
-/// bars ("O.O.M.", "T.O.").
-///
-/// When the `FUSEME_TRACE_DIR` environment variable is set, every
-/// measurement also records a structured trace and exports it there (see
-/// [`measure_traced`]); file names are sequenced `run-NNNN-<engine>`.
+/// bars ("O.O.M.", "T.O."). Traced to `run-NNNN-<engine>` when
+/// `FUSEME_TRACE_DIR` is set (see [`trace_to`]).
 pub fn measure(engine: &Engine, dag: &QueryDag, binds: &Bindings) -> RunSummary {
-    if let Some(dir) = std::env::var_os("FUSEME_TRACE_DIR") {
-        static TRACE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let seq = TRACE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let name = format!("run-{seq:04}-{}", engine.kind().name());
-        return measure_traced(engine, dag, binds, std::path::Path::new(&dir), &name);
-    }
-    measure_inner(engine, dag, binds)
-}
-
-fn measure_inner(engine: &Engine, dag: &QueryDag, binds: &Bindings) -> RunSummary {
-    engine.reset_metrics();
-    match engine.run(dag, binds) {
-        Ok(outcome) => RunSummary::completed(engine.kind().name(), &outcome.stats),
-        Err(e) => RunSummary::failed(engine.kind().name(), &e),
-    }
+    let name = engine.kind().name();
+    measure_query(engine.cluster(), name, trace_to(name), || {
+        Ok(engine.run(dag, binds)?.stats)
+    })
 }
 
 /// [`measure`] with structured tracing: records the run, attaches the
@@ -179,42 +172,185 @@ pub fn measure_traced(
     engine: &Engine,
     dag: &QueryDag,
     binds: &Bindings,
-    dir: &std::path::Path,
+    dir: &Path,
     name: &str,
 ) -> RunSummary {
-    let rec = Recorder::new();
-    fuseme::obs::install(&rec);
-    let span =
-        fuseme::obs::handle().scope_span(fuseme::obs::SpanKind::Session, || name.to_string());
-    let run = measure_inner(engine, dag, binds);
-    // `measure_inner` resets the clock first, so the session span covers
-    // simulated time from zero.
-    span.set_sim(0.0, engine.cluster().elapsed_secs());
-    drop(span);
-    fuseme::obs::uninstall();
+    let trace = Some((dir.to_path_buf(), name.to_string()));
+    measure_query(engine.cluster(), engine.kind().name(), trace, || {
+        Ok(engine.run(dag, binds)?.stats)
+    })
+}
 
-    let summary = summarize(&rec);
-    let write = |suffix: &str, contents: String| {
-        if let Err(e) = std::fs::create_dir_all(dir)
-            .and_then(|()| std::fs::write(dir.join(format!("{name}.{suffix}")), contents))
-        {
-            eprintln!("warning: could not write trace {name}.{suffix}: {e}");
+/// Where a run's trace goes when `FUSEME_TRACE_DIR` is set (`experiments
+/// --trace`): that directory, and the file name `run-NNNN-<label>`,
+/// numbered in run order across the process.
+pub fn trace_to(label: &str) -> Option<(PathBuf, String)> {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::var_os("FUSEME_TRACE_DIR")?;
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    let label: Vec<&str> = label
+        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '.' || c == '-'))
+        .filter(|part| !part.is_empty())
+        .collect();
+    Some((dir.into(), format!("run-{seq:04}-{}", label.join("-"))))
+}
+
+/// Measures one planned query that `run` executes on `cluster`, reset first
+/// so the summary covers this query alone and keeps its plan shape (unit
+/// counts and `(P,Q,R)` choices). `engine` names the summary's engine.
+pub fn measure_query(
+    cluster: &Cluster,
+    engine: &str,
+    trace: Option<(PathBuf, String)>,
+    run: impl FnOnce() -> Result<EngineStats, SimError>,
+) -> RunSummary {
+    cluster.reset();
+    let probe = Probe::start(cluster, trace, str::to_string);
+    let result = run().map(|stats| ((), stats)).map_err(SessionError::Exec);
+    probe.finish(engine, cluster, result).0
+}
+
+/// Measures a session-driven run: `bind` generates the inputs, outside the
+/// wall clock and the trace, then `body` runs the queries. The summary reports what the
+/// session's cluster did in all — communication, simulated time, faults and
+/// cache activity — but no plan shape, which is per query. Returns `body`'s
+/// value when the run completed.
+pub fn measure_session<T>(
+    session: &mut Session,
+    trace: Option<(PathBuf, String)>,
+    bind: impl FnOnce(&mut Session) -> Result<(), SessionError>,
+    body: impl FnOnce(&mut Session) -> Result<T, SessionError>,
+) -> (RunSummary, Option<T>) {
+    let engine = session.engine().kind().name();
+    let bound = bind(session);
+    // The span is named like the one a traced `Session` opens itself.
+    let probe = Probe::start(session.engine().cluster(), trace, |_| {
+        format!("session-{engine}")
+    });
+    let result = bound
+        .and_then(|()| body(session))
+        .map(|value| (value, EngineStats::default()));
+    probe.finish(engine, session.engine().cluster(), result)
+}
+
+/// The measurement core: one run between [`Probe::start`] and
+/// [`Probe::finish`], the only place that starts a run's wall clock,
+/// captures and exports its trace, classifies its failure and builds its
+/// [`RunSummary`].
+struct Probe {
+    wall: Instant,
+    trace: Option<Capture>,
+}
+
+/// A trace being captured: the recorder installed on this thread, the open
+/// session span, and where the files go.
+struct Capture {
+    recorder: Arc<Recorder>,
+    span: SpanGuard,
+    sim_start: f64,
+    dir: PathBuf,
+    name: String,
+}
+
+impl Probe {
+    /// Starts the wall clock and, when `trace` is set, a recording under a
+    /// session span named by `span` from the file name.
+    fn start(
+        cluster: &Cluster,
+        trace: Option<(PathBuf, String)>,
+        span: impl FnOnce(&str) -> String,
+    ) -> Probe {
+        let trace = trace.map(|(dir, name)| {
+            let recorder = Recorder::new();
+            fuseme::obs::install(&recorder);
+            let span = fuseme::obs::handle().scope_span(SpanKind::Session, || span(&name));
+            Capture {
+                recorder,
+                span,
+                sim_start: cluster.elapsed_secs(),
+                dir,
+                name,
+            }
+        });
+        Probe {
+            wall: Instant::now(),
+            trace,
         }
-    };
-    write("trace.json", chrome_trace_json(&rec));
-    write(
-        "summary.json",
-        serde_json::to_string_pretty(&summary).unwrap_or_default(),
-    );
-    write(
-        "pva.txt",
-        format!(
-            "{}\n{}",
-            summary_table(&summary),
-            predicted_vs_actual(&summary)
-        ),
-    );
-    run.with_trace(summary)
+    }
+
+    /// Ends the run. A completed run's summary takes communication,
+    /// simulated time, faults and cache activity from `cluster`'s
+    /// cumulative totals, and the plan shape from the run's own
+    /// [`EngineStats`]. A failed one is classified by its error: execution
+    /// errors as they are, anything else as a task failure.
+    fn finish<T>(
+        self,
+        engine: &str,
+        cluster: &Cluster,
+        result: Result<(T, EngineStats), SessionError>,
+    ) -> (RunSummary, Option<T>) {
+        let wall_secs = self.wall.elapsed().as_secs_f64();
+        let (run, value) = match result {
+            Ok((value, shape)) => {
+                let stats = EngineStats {
+                    comm: cluster.comm(),
+                    sim_secs: cluster.elapsed_secs(),
+                    wall_secs,
+                    faults: cluster.fault_stats(),
+                    cache: cluster.cache_stats(),
+                    ..shape
+                };
+                (RunSummary::completed(engine, &stats), Some(value))
+            }
+            Err(SessionError::Exec(e)) => (RunSummary::failed(engine, &e), None),
+            Err(e) => {
+                let e = SimError::Task(e.to_string());
+                (RunSummary::failed(engine, &e), None)
+            }
+        };
+        match self.trace {
+            Some(capture) => (run.with_trace(capture.export(cluster)), value),
+            None => (run, value),
+        }
+    }
+}
+
+impl Capture {
+    /// Closes the session span, uninstalls the recorder and writes the
+    /// three trace files.
+    fn export(self, cluster: &Cluster) -> TraceSummary {
+        let sim_secs = cluster.elapsed_secs() - self.sim_start;
+        self.span.set_sim(self.sim_start, sim_secs);
+        drop(self.span);
+        fuseme::obs::uninstall();
+
+        let summary = summarize(&self.recorder);
+        let (dir, name) = (&self.dir, &self.name);
+        let write = |suffix: &str, contents: String| {
+            if let Err(e) = std::fs::create_dir_all(dir)
+                .and_then(|()| std::fs::write(dir.join(format!("{name}.{suffix}")), contents))
+            {
+                eprintln!("warning: could not write trace {name}.{suffix}: {e}");
+            }
+        };
+        write("trace.json", chrome_trace_json(&self.recorder));
+        write(
+            "summary.json",
+            serde_json::to_string_pretty(&summary).unwrap_or_default(),
+        );
+        let pva = predicted_vs_actual(&summary);
+        write("pva.txt", format!("{}\n{pva}", summary_table(&summary)));
+        summary
+    }
+}
+
+/// A query's `(P,Q,R)` choices as `(root, p, q, r)` tuples, the form
+/// [`RunSummary::pqr`] records them in.
+fn pqr_tuples(stats: &EngineStats) -> impl Iterator<Item = (usize, usize, usize, usize)> + '_ {
+    stats
+        .pqr_choices
+        .iter()
+        .map(|(root, p)| (*root, p.p, p.q, p.r))
 }
 
 /// Formats bytes as the paper's GB figures (decimal).
@@ -254,11 +390,7 @@ pub fn comm_cell_full(run: &RunSummary, scale: Scale) -> String {
 }
 
 /// Writes measurements as pretty JSON to `dir/<name>.json`.
-pub fn write_json(
-    dir: &std::path::Path,
-    name: &str,
-    measurements: &[Measurement],
-) -> std::io::Result<()> {
+pub fn write_json(dir: &Path, name: &str, measurements: &[Measurement]) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{name}.json"));
     let json = serde_json::to_string_pretty(measurements)?;
@@ -337,6 +469,72 @@ mod tests {
         assert!(chrome.starts_with('['));
         assert!(chrome.contains("\"cat\":\"stage\""));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn measure_session_traces_and_matches_untraced_twin() {
+        let gnmf = fuseme_workloads::gnmf::Gnmf {
+            users: 60,
+            items: 40,
+            factor: 10,
+            block_size: 10,
+            density: 0.2,
+        };
+        let run = |target: Option<(PathBuf, String)>| {
+            let mut cc = ClusterConfig::test_small();
+            cc.mem_per_task = 256 << 20;
+            let mut session = Session::new(Engine::fuseme(cc));
+            session.set_replica_cache(Some(64 << 20));
+            session.set_fault_plan(Some(FaultPlan::new(0xC4A05).with_crash_rate(0.05)));
+            session.set_fault_tolerance(FaultToleranceConfig {
+                max_task_retries: 6,
+                ..FaultToleranceConfig::resilient()
+            });
+            let bind = |s: &mut Session| gnmf.bind_inputs(s, 42);
+            measure_session(&mut session, target, bind, |s| gnmf.run(s, 2)).0
+        };
+
+        let dir = std::env::temp_dir().join(format!("fuseme-session-{}", std::process::id()));
+        let traced = run(Some((dir.clone(), "s".into())));
+        assert_eq!(traced.status, RunStatus::Completed);
+        for suffix in ["trace.json", "summary.json", "pva.txt"] {
+            let path = dir.join(format!("s.{suffix}"));
+            assert!(path.exists(), "missing {}", path.display());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let trace = traced.trace.as_ref().expect("trace attached");
+        assert_eq!(trace.total_bytes(), traced.comm_total());
+        let faults = traced.faults.expect("crashes were retried");
+        assert!(faults.retries > 0, "{faults:?}");
+        assert_eq!(trace.faults, traced.faults);
+        let cache = traced.cache.expect("cache active");
+        assert!(cache.hits > 0, "{cache:?}");
+        let t = trace.cache.expect("cache events traced");
+        assert_eq!(
+            (
+                t.hits,
+                t.misses,
+                t.evictions,
+                t.invalidations,
+                t.saved_bytes
+            ),
+            (
+                cache.hits,
+                cache.misses,
+                cache.evictions,
+                cache.invalidations,
+                cache.saved_bytes
+            )
+        );
+
+        // Tracing observes the run without changing it.
+        let strip = |mut run: RunSummary| {
+            run.trace = None;
+            run.wall_secs = 0.0;
+            serde_json::to_string(&run).unwrap()
+        };
+        assert_eq!(strip(traced.clone()), strip(run(None)));
     }
 
     #[test]

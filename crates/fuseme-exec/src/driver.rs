@@ -20,7 +20,7 @@ use fuseme_fusion::cost::CostModel;
 use fuseme_fusion::optimizer::{
     min_feasible_theta, optimize_bounded_cached, CachedInput, OptResult, Pqr,
 };
-use fuseme_fusion::plan::{mm_dims, ExecUnit, FusionPlan, PartialPlan};
+use fuseme_fusion::plan::{max_k_parts, mm_dims, ExecUnit, FusionPlan, PartialPlan};
 use fuseme_fusion::space::{input_axes, SpaceTree};
 use fuseme_matrix::BlockedMatrix;
 use fuseme_obs::{keys, Event, SpanGuard, SpanKind, Waste};
@@ -30,7 +30,7 @@ use fuseme_sim::{
     SimError,
 };
 
-use crate::fused_op::{execute_fused, supports_k_split, Strategy, ValueMap};
+use crate::fused_op::{execute_fused, Strategy, ValueMap};
 
 /// Engine policy for executing (fused plans containing) matrix
 /// multiplication.
@@ -379,11 +379,7 @@ fn recover_from_oom(
     let root = plan.root as u64;
     let mut rungs: Vec<LadderRung> = Vec::new();
     let mut last = first;
-    let max_r = if supports_k_split(dag, plan) {
-        usize::MAX
-    } else {
-        1
-    };
+    let max_r = max_k_parts(dag, plan);
 
     // Rung 1 — re-plan under a tightened budget (CFO only: the other
     // policies have no parameters a search could tighten).
@@ -586,11 +582,7 @@ fn choose_strategy(
     match config.matmul {
         MatmulStrategy::Cfo => {
             let tree = SpaceTree::build(dag, plan);
-            let max_r = if supports_k_split(dag, plan) {
-                usize::MAX
-            } else {
-                1
-            };
+            let max_r = max_k_parts(dag, plan);
             let cached = cached_inputs(cluster, dag, &tree, values);
             let opt = optimize_bounded_cached(dag, plan, &tree, &config.model, max_r, &cached);
             // On infeasible searches Algorithm 3 falls back to the finest

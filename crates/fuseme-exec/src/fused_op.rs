@@ -30,7 +30,7 @@ use std::sync::Arc;
 
 use fuseme_fusion::cost::estimate;
 use fuseme_fusion::optimizer::Pqr;
-use fuseme_fusion::plan::{mm_dims, PartialPlan};
+use fuseme_fusion::plan::{k_split_parity, mm_dims, PartialPlan};
 use fuseme_fusion::space::SpaceTree;
 use fuseme_matrix::{AggOp, BinOp, Block, BlockedMatrix, DenseBlock};
 use fuseme_obs::{Event, Rejected};
@@ -94,10 +94,10 @@ struct Layout {
 
 #[derive(Debug, Clone)]
 struct TaskSlice {
-    id: usize,
     out_blocks: Vec<(usize, usize)>,
     k_range: Range<usize>,
-    /// `(p,q)` group for two-stage aggregation; equals `id` single-stage.
+    /// `(p,q)` group for two-stage aggregation; the task's index
+    /// single-stage.
     group: usize,
     /// The group member that runs the stage-2 reduction.
     is_reducer: bool,
@@ -173,9 +173,6 @@ pub fn execute_fused(
 ) -> Result<Arc<BlockedMatrix>, SimError> {
     let (agg_kind, compute_node) = compute_target(dag, plan);
     let main_mm = plan.main_matmul(dag);
-    let layout = layout(cluster, dag, plan, values, strategy, compute_node)?;
-    let parity = layout.parity;
-    let two_stage = layout.r > 1;
 
     // ----- analytic pre-checks ----------------------------------------------
     // Routing below physically materializes per-task block stores, which for
@@ -184,7 +181,7 @@ pub fn execute_fused(
     // control and the clock would conclude, so fail fast — exactly the
     // compile-time memory estimation SystemDS applies before picking BFO.
     let tree = SpaceTree::build(dag, plan);
-    let eq = equivalent_pqr(dag, plan, strategy, &layout);
+    let eq = equivalent_pqr(dag, plan, values, strategy, compute_node);
     let est = estimate(dag, plan, &tree, eq.p, eq.q, eq.r);
     admit_estimate(cluster, plan, est.mem_bytes, eq)?;
     {
@@ -201,22 +198,9 @@ pub fn execute_fused(
     }
 
     // ----- consolidation: route blocks, build stores ------------------------
-    let broadcast = broadcast_sides(dag, plan, values, strategy);
-    let stores: Vec<LocalStore> = layout
-        .tasks
-        .iter()
-        .map(|task| {
-            let need = demand(
-                dag,
-                plan,
-                main_mm,
-                compute_node,
-                &task.out_blocks,
-                &task.k_range,
-            );
-            build_store(values, need, &broadcast)
-        })
-        .collect();
+    let routing = route(cluster, dag, plan, values, strategy);
+    let parity = routing.parity;
+    let two_stage = routing.k_parts > 1;
 
     // ----- replica cache: skip re-shipping cached loop-invariant inputs -----
     // Routing above is in-process either way (results are byte-identical
@@ -243,7 +227,7 @@ pub fn execute_fused(
                 let (Some(&axis), Some(value)) = (axes.get(&node), values.get(&node)) else {
                     continue;
                 };
-                let bytes: u64 = stores.iter().map(|s| s.node_bytes(node)).sum();
+                let bytes: u64 = routing.tasks.iter().map(|t| t.store.node_bytes(node)).sum();
                 if bytes == 0 {
                     continue;
                 }
@@ -278,10 +262,10 @@ pub fn execute_fused(
     };
 
     // ----- resource estimates ------------------------------------------------
-    let ntasks = layout.tasks.len().max(1) as u64;
+    let ntasks = routing.tasks.len().max(1) as u64;
     let flops_per_task = est.com_flops / ntasks;
     let out_share = fuseme_fusion::cost::size_bytes(dag, plan.root) / ntasks;
-    let groups = layout.tasks.iter().filter(|t| t.is_reducer).count().max(1) as u64;
+    let groups = routing.tasks.iter().filter(|t| t.is_reducer).count().max(1) as u64;
     // Stage-1 partials only materialize for output blocks the sparsity gate
     // lets through (the fused kernel skips the rest), so the per-task
     // partial footprint shrinks by the density ratio.
@@ -298,7 +282,8 @@ pub fn execute_fused(
     // ----- stage 1 -------------------------------------------------------------
     let roles = &PlanRoles::new(dag, plan);
     let mut work: Vec<TaskWork<'_, TaskOut>> = Vec::new();
-    for (task, store) in layout.tasks.iter().zip(stores.iter()) {
+    for (task_id, task) in routing.tasks.iter().enumerate() {
+        let store = &task.store;
         // Replica-cache hits ship nothing: their share of the store arrived
         // in a previous iteration. Memory is unaffected — the replicas are
         // resident either way.
@@ -317,7 +302,7 @@ pub fn execute_fused(
         let out_blocks = task.out_blocks.clone();
         let k_range = task.k_range.clone();
         work.push(TaskWork {
-            task_id: task.id,
+            task_id,
             recv_bytes: recv,
             mem_bytes: mem,
             flops: flops_per_task,
@@ -361,7 +346,7 @@ pub fn execute_fused(
     let outputs: Vec<TaskOut> = if two_stage {
         let mut grouped: HashMap<usize, HashMap<(usize, usize), Arc<Block>>> = HashMap::new();
         let mut agg_bytes: HashMap<usize, u64> = HashMap::new();
-        for (task, out) in layout.tasks.iter().zip(stage1.outputs) {
+        for (task, out) in routing.tasks.iter().zip(stage1.outputs) {
             let TaskOut::MmPartial(parts) = out else {
                 return Err(SimError::Task("stage-1 output kind mismatch".into()));
             };
@@ -375,8 +360,8 @@ pub fn execute_fused(
         }
         let grouped = &grouped;
         let mut reducers: Vec<TaskWork<'_, TaskOut>> = Vec::new();
-        for task in layout.tasks.iter().filter(|t| t.is_reducer) {
-            let store = &stores[task.id];
+        for task in routing.tasks.iter().filter(|t| t.is_reducer) {
+            let store = &task.store;
             let recv = agg_bytes.get(&task.group).copied().unwrap_or(0);
             let out_blocks = task.out_blocks.clone();
             let group = task.group;
@@ -425,7 +410,7 @@ fn layout(
     values: &ValueMap,
     strategy: &Strategy,
     compute_node: NodeId,
-) -> Result<Layout, SimError> {
+) -> Layout {
     let grid = dag.node(compute_node).meta.grid();
     let main_mm = plan.main_matmul(dag);
     if let (Strategy::Cuboid { pqr }, Some(mm)) = (strategy, main_mm) {
@@ -436,14 +421,7 @@ fn layout(
     let nblocks = (grid.num_blocks() as usize).max(1);
     let ntasks = match strategy {
         Strategy::Broadcast { partition_bytes } => {
-            // BFO's parallelism is bounded by the main matrix's partition
-            // count (paper §6.2: a sparse main under-utilizes the cluster);
-            // more partitions than slots simply wave-schedule.
-            let main_bytes = main_input(dag, plan, values)
-                .and_then(|id| values.get(&id))
-                .map(|m| m.actual_size_bytes())
-                .unwrap_or(1);
-            (main_bytes.div_ceil((*partition_bytes).max(1)) as usize).clamp(1, nblocks)
+            broadcast_tasks(dag, plan, values, *partition_bytes, nblocks)
         }
         _ => {
             // Striped operators spawn at least one task per input partition
@@ -459,12 +437,29 @@ fn layout(
             slots.min(nblocks).max(by_partition).min(nblocks)
         }
     };
-    Ok(striped_layout(
+    striped_layout(
         grid.block_rows,
         grid.block_cols,
         ntasks,
         full_k(dag, main_mm),
-    ))
+    )
+}
+
+/// BFO's task count. Its parallelism is bounded by the main matrix's
+/// partition count (paper §6.2: a sparse main under-utilizes the cluster);
+/// more partitions than slots simply wave-schedule.
+fn broadcast_tasks(
+    dag: &QueryDag,
+    plan: &PartialPlan,
+    values: &ValueMap,
+    partition_bytes: u64,
+    nblocks: usize,
+) -> usize {
+    let main_bytes = main_input(dag, plan, values)
+        .and_then(|id| values.get(&id))
+        .map(|m| m.actual_size_bytes())
+        .unwrap_or(1);
+    (main_bytes.div_ceil(partition_bytes.max(1)) as usize).clamp(1, nblocks)
 }
 
 /// BFO's side matrices — every non-scalar external input except the main
@@ -622,6 +617,11 @@ pub struct TaskRoute {
     /// Block indices of the main multiplication's common dimension this
     /// task sums over.
     pub k_range: Range<usize>,
+    /// The `(p,q)` group whose k-slices stage 2 merges; the task's own
+    /// index when `R = 1`.
+    pub group: usize,
+    /// Whether this task runs its group's stage-2 reduction.
+    pub is_reducer: bool,
     /// Input blocks routed to the task.
     pub store: LocalStore,
 }
@@ -636,22 +636,27 @@ pub struct Routing {
     pub compute_node: NodeId,
     /// BFO side matrices broadcast whole to every task.
     pub broadcast: BTreeSet<NodeId>,
+    /// k-axis partitions `R`; `> 1` means two-stage execution.
+    pub k_parts: usize,
+    /// Whether output coordinates are transposed relative to the main
+    /// multiplication's `(i, j)` grid.
+    pub parity: bool,
     /// Per-task routes, in task-id order.
     pub tasks: Vec<TaskRoute>,
 }
 
-/// Lays out `plan` under `strategy` and routes its inputs, exactly as
-/// [`execute_fused`] does before running any task.
+/// Lays out `plan` under `strategy` and routes its inputs: the
+/// consolidation step [`execute_fused`] runs before any task.
 pub fn route(
     cluster: &Cluster,
     dag: &QueryDag,
     plan: &PartialPlan,
     values: &ValueMap,
     strategy: &Strategy,
-) -> Result<Routing, SimError> {
+) -> Routing {
     let (_, compute_node) = compute_target(dag, plan);
     let main_mm = plan.main_matmul(dag);
-    let layout = layout(cluster, dag, plan, values, strategy, compute_node)?;
+    let layout = layout(cluster, dag, plan, values, strategy, compute_node);
     let broadcast = broadcast_sides(dag, plan, values, strategy);
     let tasks = layout
         .tasks
@@ -669,14 +674,18 @@ pub fn route(
                 store: build_store(values, need, &broadcast),
                 out_blocks: task.out_blocks,
                 k_range: task.k_range,
+                group: task.group,
+                is_reducer: task.is_reducer,
             }
         })
         .collect();
-    Ok(Routing {
+    Routing {
         compute_node,
         broadcast,
+        k_parts: layout.r,
+        parity: layout.parity,
         tasks,
-    })
+    }
 }
 
 /// Fills an OOM error's unit provenance — the exec-unit root and the chosen
@@ -700,13 +709,6 @@ fn enrich_oom(e: SimError, root: NodeId, eq: Pqr) -> SimError {
         },
         other => other,
     }
-}
-
-/// `true` when a plan's structure allows splitting the k-axis (`R > 1`).
-/// Delegates to [`fuseme_fusion::plan::k_splittable`], the same predicate
-/// the CFG exploitation phase costs plans with.
-pub fn supports_k_split(dag: &QueryDag, plan: &PartialPlan) -> bool {
-    fuseme_fusion::plan::k_splittable(dag, plan)
 }
 
 /// Length of each of `chunks(n, parts)`'s ranges but the tail ones.
@@ -742,20 +744,19 @@ fn cuboid_layout(
     mm: NodeId,
     pqr: Pqr,
     compute_node: NodeId,
-) -> Result<Layout, SimError> {
+) -> Layout {
     let (i, j, k) = mm_dims(dag, mm);
     let grid = dag.node(compute_node).meta.grid();
     // Structures where the main multiplication feeds another multiplication
     // cannot split the k-axis, and their output grid is unrelated to the
     // main multiplication's (i, j) — tile the output grid directly instead.
-    let (parity, r_parts, p_extent, q_extent) = match coordinate_parity(dag, plan, mm, compute_node)
-    {
-        Ok(parity) => {
+    let (parity, r_parts, p_extent, q_extent) = match k_split_parity(dag, plan) {
+        Some(parity) => {
             let (rows, cols) = if parity { (j, i) } else { (i, j) };
             debug_assert_eq!((rows, cols), (grid.block_rows, grid.block_cols));
             (parity, pqr.r, i, j)
         }
-        Err(_) => (false, 1, grid.block_rows, grid.block_cols),
+        None => (false, 1, grid.block_rows, grid.block_cols),
     };
     let k_chunks = chunks(k, r_parts);
 
@@ -779,7 +780,6 @@ fn cuboid_layout(
     for (group, out_blocks) in tile_blocks.into_iter().enumerate() {
         for (r, kr) in k_chunks.iter().enumerate() {
             tasks.push(TaskSlice {
-                id: tasks.len(),
                 out_blocks: out_blocks.clone(),
                 k_range: kr.clone(),
                 group,
@@ -787,11 +787,11 @@ fn cuboid_layout(
             });
         }
     }
-    Ok(Layout {
+    Layout {
         tasks,
         r: r_parts,
         parity,
-    })
+    }
 }
 
 /// Single-stage layout: stripe the compute grid's blocks over `ntasks`.
@@ -799,7 +799,6 @@ fn striped_layout(rows: usize, cols: usize, ntasks: usize, k: Range<usize>) -> L
     let ntasks = ntasks.max(1);
     let mut tasks: Vec<TaskSlice> = (0..ntasks)
         .map(|id| TaskSlice {
-            id,
             out_blocks: Vec::new(),
             k_range: k.clone(),
             group: id,
@@ -818,41 +817,6 @@ fn striped_layout(rows: usize, cols: usize, ntasks: usize, k: Range<usize>) -> L
     }
 }
 
-/// Walks from the main multiplication up to the compute root, tracking
-/// whether coordinates flip (transpose parity). Errors if another
-/// multiplication consumes the main one inside the plan — that structure
-/// cannot split the k-axis.
-fn coordinate_parity(
-    dag: &QueryDag,
-    plan: &PartialPlan,
-    mm: NodeId,
-    compute_node: NodeId,
-) -> Result<bool, SimError> {
-    let mut current = mm;
-    let mut parity = false;
-    while current != compute_node {
-        let Some(c) = dag
-            .consumers(current)
-            .iter()
-            .copied()
-            .find(|c| plan.ops.contains(c))
-        else {
-            break;
-        };
-        match dag.node(c).kind {
-            OpKind::Transpose => parity = !parity,
-            OpKind::MatMul => {
-                return Err(SimError::Task(
-                    "main multiplication feeds another multiplication; k-split unsupported".into(),
-                ))
-            }
-            _ => {}
-        }
-        current = c;
-    }
-    Ok(parity)
-}
-
 /// The plan input with the largest materialized footprint — BFO's "main"
 /// matrix, which is repartitioned rather than broadcast.
 fn main_input(dag: &QueryDag, plan: &PartialPlan, values: &ValueMap) -> Option<NodeId> {
@@ -869,13 +833,20 @@ fn main_input(dag: &QueryDag, plan: &PartialPlan, values: &ValueMap) -> Option<N
 
 /// The `(P,Q,R)` a strategy is equivalent to in the paper's cost model
 /// (Table 1 / Fig. 9): BFO ≈ `(T',T',1)`, RFO ≈ `(I,J,1)`.
-fn equivalent_pqr(dag: &QueryDag, plan: &PartialPlan, strategy: &Strategy, layout: &Layout) -> Pqr {
+fn equivalent_pqr(
+    dag: &QueryDag,
+    plan: &PartialPlan,
+    values: &ValueMap,
+    strategy: &Strategy,
+    compute_node: NodeId,
+) -> Pqr {
     let one = Pqr { p: 1, q: 1, r: 1 };
     match strategy {
         Strategy::Cuboid { pqr } => *pqr,
-        Strategy::Broadcast { .. } => match plan.main_matmul(dag) {
+        Strategy::Broadcast { partition_bytes } => match plan.main_matmul(dag) {
             Some(mm) => {
-                let t = layout.tasks.len().max(1);
+                let nblocks = (dag.node(compute_node).meta.grid().num_blocks() as usize).max(1);
+                let t = broadcast_tasks(dag, plan, values, *partition_bytes, nblocks);
                 let (i, j, _) = mm_dims(dag, mm);
                 Pqr {
                     p: t.min(i),
@@ -1576,9 +1547,9 @@ mod tests {
     }
 
     #[test]
-    fn supports_k_split_detection() {
+    fn k_split_parity_detection() {
         let f = nmf_fixture(60);
-        assert!(supports_k_split(&f.dag, &f.plan));
+        assert!(k_split_parity(&f.dag, &f.plan).is_some());
         // A matmul chain anchors on the downstream multiplication (the
         // upstream one nests in its L-space), so the k-axis stays
         // splittable and the cost model matches the execution tiling.
@@ -1591,7 +1562,7 @@ mod tests {
         let dag = b.finish(vec![mm2]);
         let plan = PartialPlan::new(BTreeSet::from([mm1.id(), mm2.id()]), mm2.id());
         assert_eq!(plan.main_matmul(&dag).unwrap(), mm2.id());
-        assert!(supports_k_split(&dag, &plan));
+        assert!(k_split_parity(&dag, &plan).is_some());
     }
 
     #[test]

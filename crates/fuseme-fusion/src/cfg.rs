@@ -22,7 +22,7 @@ use fuseme_plan::{NodeId, OpKind, QueryDag};
 
 use crate::cost::CostModel;
 use crate::optimizer::optimize_bounded;
-use crate::plan::{k_splittable, FusionPlan, PartialPlan};
+use crate::plan::{max_k_parts, FusionPlan, PartialPlan};
 use crate::space::SpaceTree;
 
 /// The CFG planner, parameterized by the cost model used in the
@@ -64,12 +64,7 @@ impl Cfg {
     /// split the k-axis, and costing them as if they could would keep
     /// fusions that execute badly.
     fn exec_cost(&self, dag: &QueryDag, plan: &PartialPlan, tree: &crate::space::SpaceTree) -> f64 {
-        let max_r = if k_splittable(dag, plan) {
-            usize::MAX
-        } else {
-            1
-        };
-        optimize_bounded(dag, plan, tree, &self.model, max_r).cost
+        optimize_bounded(dag, plan, tree, &self.model, max_k_parts(dag, plan)).cost
     }
 
     /// Algorithm 3: refine candidates by cost-based splitting.

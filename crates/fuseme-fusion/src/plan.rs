@@ -2,7 +2,7 @@
 
 use std::collections::BTreeSet;
 
-use fuseme_plan::{NodeId, QueryDag};
+use fuseme_plan::{NodeId, OpKind, QueryDag};
 use serde::{Deserialize, Serialize};
 
 /// A sub-DAG executed as one fused operator (the paper's *partial fusion
@@ -155,15 +155,15 @@ pub fn reaches_via_consumers(
     false
 }
 
-/// `true` when a plan's structure allows splitting the k-axis (`R > 1`):
-/// the main multiplication's output must reach the plan root through
-/// coordinate-preserving operators only (element-wise, transpose, or an
-/// aggregation root). A plan whose main multiplication feeds another member
-/// multiplication must run with `R = 1`.
-pub fn k_splittable(dag: &QueryDag, plan: &PartialPlan) -> bool {
-    let Some(mm) = plan.main_matmul(dag) else {
-        return false;
-    };
+/// Walks from the plan's main multiplication up to the node whose blocks
+/// tasks compute (the root, or an aggregation root's input) and returns the
+/// walk's transpose parity: whether output coordinates are flipped relative
+/// to the multiplication's `(i, j)` grid. `None` when the k-axis cannot be
+/// split (`R > 1`): the plan has no multiplication, or the main one feeds
+/// another member multiplication. Splittable plans reach the compute node
+/// through coordinate-preserving operators only (element-wise, transpose).
+pub fn k_split_parity(dag: &QueryDag, plan: &PartialPlan) -> Option<bool> {
+    let mm = plan.main_matmul(dag)?;
     let root = dag.node(plan.root);
     let compute_node = if root.kind.is_unary_agg() {
         root.inputs[0]
@@ -171,6 +171,7 @@ pub fn k_splittable(dag: &QueryDag, plan: &PartialPlan) -> bool {
         plan.root
     };
     let mut current = mm;
+    let mut parity = false;
     while current != compute_node {
         let Some(c) = dag
             .consumers(current)
@@ -180,12 +181,30 @@ pub fn k_splittable(dag: &QueryDag, plan: &PartialPlan) -> bool {
         else {
             break;
         };
-        if dag.node(c).kind.is_matmul() {
-            return false;
+        match dag.node(c).kind {
+            OpKind::Transpose => parity = !parity,
+            OpKind::MatMul => return None,
+            _ => {}
         }
         current = c;
     }
-    true
+    Some(parity)
+}
+
+/// `true` when a plan's structure allows splitting the k-axis (`R > 1`);
+/// see [`k_split_parity`].
+pub fn k_splittable(dag: &QueryDag, plan: &PartialPlan) -> bool {
+    k_split_parity(dag, plan).is_some()
+}
+
+/// The bound on `R` the `(P,Q,R)` search must respect for `plan`:
+/// unbounded when the k-axis is splittable, 1 otherwise.
+pub fn max_k_parts(dag: &QueryDag, plan: &PartialPlan) -> usize {
+    if k_splittable(dag, plan) {
+        usize::MAX
+    } else {
+        1
+    }
 }
 
 /// Block-grid extents `(I, J, K)` of a matmul's model space.

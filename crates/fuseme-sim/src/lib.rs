@@ -35,7 +35,6 @@ pub mod cluster;
 pub mod executor;
 pub mod fault;
 pub mod ledger;
-pub mod partitioner;
 pub mod replica_cache;
 pub mod time;
 
@@ -44,7 +43,6 @@ pub use executor::{StageOutcome, TaskWork};
 pub use fault::FaultToleranceConfig;
 pub use fault::{FaultKind, FaultLedger, FaultPlan, FaultScope, FaultSpec, FaultStats};
 pub use ledger::{CommLedger, CommStats, Phase};
-pub use partitioner::Partitioner;
 pub use replica_cache::{CacheOutcome, CacheStats, ReplicaCache, ReplicaKey};
 pub use time::{SimClock, StageSchedule, WaveSlot};
 
